@@ -51,7 +51,14 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+/// Cores available to this process — recorded in every row, since a
+/// one-core box and a shared one time the same code differently.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 fn micro(label: &str) {
+    let cores = cores();
     for &n in &[256usize, 1024, 4096] {
         let iters = (4_000_000 / n).max(64) as u64;
 
@@ -125,6 +132,7 @@ fn micro(label: &str) {
 
         println!(
             "{{\"label\": \"{label}\", \"kind\": \"micro\", \"n\": {n}, \
+             \"available_parallelism\": {cores}, \
              \"union_dense_per_sec\": {dense_union:.0}, \"union_btree_per_sec\": {btree_union:.0}, \
              \"union_speedup\": {:.1}, \
              \"clone_union_dense_per_sec\": {dense_clone_union:.0}, \"clone_union_btree_per_sec\": {btree_clone_union:.0}, \
@@ -149,9 +157,11 @@ fn tears_trial(label: &str, n: usize, baseline_note: &str) {
     let secs = start.elapsed().as_secs_f64();
     assert!(report.ok, "tears trial failed its correctness check");
     let rss = peak_rss_mib().unwrap_or(-1.0);
+    let cores = cores();
     println!(
         "{{\"label\": \"{label}\", \"kind\": \"tears_trial\", \"n\": {n}, \
-         \"wall_secs\": {secs:.1}, \"messages\": {}, \"wire_units\": {}, \
+         \"available_parallelism\": {cores}, \
+         \"wall_secs\": {secs:.2}, \"messages\": {}, \"wire_units\": {}, \
          \"peak_rss_mib\": {rss:.0}, \"pre_rework_baseline\": \"{baseline_note}\"}}",
         report.messages, report.wire_units,
     );

@@ -13,9 +13,11 @@
 //!
 //! [`AdaptiveSet`] is the roaring-bitmap-style wrapper that makes the same
 //! semantics affordable at `n = 65 536`: a set starts as a sorted sparse id
-//! list (16 bytes per element, independent of the universe size) and
-//! promotes — once, irreversibly — to the dense word-packed form when it
-//! grows past [`ADAPTIVE_SPARSE_LIMIT`] elements. Every observable
+//! list (4 bytes per element, independent of the universe size) and
+//! promotes — once, irreversibly — to the dense word-packed form as soon as
+//! that form would be no larger (see [`outgrows_sparse`]): two ids inside
+//! one word are already a word, a handful of ids scattered over
+//! `0..65 536` stays a handful of ids. Every observable
 //! behaviour (membership, union deltas, ascending iteration order,
 //! equality) is identical in both representations, so executions are
 //! bit-for-bit unchanged; only the memory touched by small sets shrinks
@@ -23,13 +25,29 @@
 
 use std::borrow::Cow;
 
-/// The sparse→dense crossover: an `AdaptiveSet` (and the sparse entry
-/// list inside `RumorSet`) promotes to the word-packed form as soon as it
-/// holds more than this many elements. At 16 bytes per sparse element the
-/// sparse form caps at ~4 KiB — about the dense bitmap cost at
-/// `n = 32 768` — while staying small enough that sorted-merge unions of
-/// two sparse sets are cheap.
+/// The upper cap on the sparse forms: an `AdaptiveSet` (and the sparse
+/// entry list inside `RumorSet`) holding more than this many elements
+/// promotes whatever its density, so sorted-merge unions and binary-search
+/// lookups stay short. Below the cap the density rule decides — a set goes
+/// dense as soon as its dense form would be no larger; the cap binds only
+/// on universes so wide (beyond `n = 32 768` for a `RumorSet`) that 256
+/// entries are still smaller than the bitmap.
 pub const ADAPTIVE_SPARSE_LIMIT: usize = 256;
+
+/// The one promotion rule of both adaptive collections: a sorted list of
+/// `len` entries of `entry_bytes` each, the largest with index `max`,
+/// leaves the sparse form as soon as the dense form — `bytes_per_word` for
+/// each of the `max / 64 + 1` presence words — would be no larger. It
+/// depends only on what the set holds, so the same contents promote at the
+/// same point in every run.
+pub(crate) fn outgrows_sparse(
+    len: usize,
+    entry_bytes: usize,
+    max: usize,
+    bytes_per_word: usize,
+) -> bool {
+    len > ADAPTIVE_SPARSE_LIMIT || len * entry_bytes >= (max / 64 + 1) * bytes_per_word
+}
 
 /// Presence words with trailing zero words trimmed (the capacity a set has
 /// grown to is not part of its value).
@@ -55,9 +73,12 @@ impl WordSet {
         &self.words
     }
 
-    /// Grows the backing storage to at least `len` words.
+    /// Grows the backing storage to at least `len` words — to exactly that
+    /// capacity: a set that went dense early grows a word at a time, and
+    /// amortized doubling would leave up to half of every bitmap unused.
     pub(crate) fn ensure_words(&mut self, len: usize) {
         if self.words.len() < len {
+            self.words.reserve_exact(len - self.words.len());
             self.words.resize(len, 0);
         }
     }
@@ -175,9 +196,10 @@ impl Iterator for WordSetIter<'_> {
     }
 }
 
-/// An index set that adapts its representation to its cardinality: sorted
-/// sparse ids below [`ADAPTIVE_SPARSE_LIMIT`], the dense word-packed
-/// [`WordSet`] above it. Promotion is one-way — a set that has gone dense
+/// An index set that adapts its representation to its density: sorted
+/// sparse ids while those are strictly smaller than the bitmap reaching the
+/// largest of them, the dense word-packed [`WordSet`] from then on (see
+/// [`outgrows_sparse`]). Promotion is one-way — a set that has gone dense
 /// stays dense — so a long-lived set settles into the representation its
 /// steady state wants.
 #[derive(Clone)]
@@ -238,9 +260,21 @@ impl AdaptiveSet {
         }
     }
 
+    /// Promotes a sparse set whose dense form would be no larger.
+    fn promote_if_outgrown(&mut self) {
+        if let AdaptiveSet::Sparse(ids) = self {
+            let outgrown = ids.last().is_some_and(|&max| {
+                outgrows_sparse(ids.len(), size_of::<u32>(), max as usize, size_of::<u64>())
+            });
+            if outgrown {
+                self.promote();
+            }
+        }
+    }
+
     /// Inserts `index`. Returns `true` if it was not present before.
-    /// Promotes past the crossover (or for indices beyond `u32`, which the
-    /// sparse id list cannot represent).
+    /// Promotes once the dense form is no larger (or for indices beyond
+    /// `u32`, which the sparse id list cannot represent).
     pub(crate) fn insert(&mut self, index: usize) -> bool {
         match self {
             AdaptiveSet::Sparse(ids) => {
@@ -252,9 +286,7 @@ impl AdaptiveSet {
                     Ok(_) => false,
                     Err(pos) => {
                         ids.insert(pos, id);
-                        if ids.len() > ADAPTIVE_SPARSE_LIMIT {
-                            self.promote();
-                        }
+                        self.promote_if_outgrown();
                         true
                     }
                 }
@@ -267,10 +299,8 @@ impl AdaptiveSet {
     pub(crate) fn union(&mut self, other: &AdaptiveSet) -> usize {
         match (&mut *self, other) {
             (AdaptiveSet::Sparse(own), AdaptiveSet::Sparse(theirs)) => {
-                let added = merge_sorted(own, theirs);
-                if own.len() > ADAPTIVE_SPARSE_LIMIT {
-                    self.promote();
-                }
+                let added = merge_sorted(own, theirs, |&id| id, |_| {});
+                self.promote_if_outgrown();
                 added
             }
             (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(_)) => {
@@ -332,8 +362,8 @@ impl AdaptiveSet {
         match (self, other) {
             (AdaptiveSet::Dense(own), AdaptiveSet::Dense(theirs)) => own.is_superset_of(theirs),
             (_, AdaptiveSet::Sparse(theirs)) => theirs.iter().all(|&id| self.contains(id as usize)),
-            // Self is sparse (≤ the crossover), other dense: every index of
-            // `other` must be one of self's few ids.
+            // Self is sparse, other dense: every index of `other` must be
+            // one of self's few ids.
             (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(theirs)) => {
                 theirs.iter().all(|id| self.contains(id))
             }
@@ -394,41 +424,53 @@ impl AdaptiveSet {
     }
 }
 
-/// Merges sorted `theirs` into sorted `own` (both ascending, duplicate
-/// free). Returns the number of new elements.
-fn merge_sorted(own: &mut Vec<u32>, theirs: &[u32]) -> usize {
-    if theirs.is_empty() {
-        return 0;
-    }
-    // Fast path: everything new lands past the current tail.
-    if own.last().is_none_or(|&tail| tail < theirs[0]) {
-        own.extend_from_slice(theirs);
-        return theirs.len();
-    }
-    let mut merged = Vec::with_capacity(own.len() + theirs.len());
-    let (mut i, mut j, mut added) = (0usize, 0usize, 0usize);
-    while i < own.len() && j < theirs.len() {
-        match own[i].cmp(&theirs[j]) {
-            std::cmp::Ordering::Less => {
-                merged.push(own[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.push(theirs[j]);
-                j += 1;
-                added += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                merged.push(own[i]);
-                i += 1;
-                j += 1;
-            }
+/// Merges sorted `theirs` into sorted `own` in place (both ascending by
+/// `key`, duplicate free); a key already present keeps `own`'s element.
+/// `on_new` sees every element of `theirs` that is added. Returns the
+/// number of new elements. Allocates only when `own` lacks the capacity.
+pub(crate) fn merge_sorted<T: Copy>(
+    own: &mut Vec<T>,
+    theirs: &[T],
+    key: impl Fn(&T) -> u32,
+    mut on_new: impl FnMut(&T),
+) -> usize {
+    // First walk: count (and report) what is new, which fixes the merged
+    // length.
+    let (mut i, mut added) = (0usize, 0usize);
+    for t in theirs {
+        while i < own.len() && key(&own[i]) < key(t) {
+            i += 1;
+        }
+        if i == own.len() || key(&own[i]) != key(t) {
+            added += 1;
+            on_new(t);
         }
     }
-    merged.extend_from_slice(&own[i..]);
-    added += theirs.len() - j;
-    merged.extend_from_slice(&theirs[j..]);
-    *own = merged;
+    if added == 0 {
+        return 0;
+    }
+    // Second walk: merge from the back into the grown tail, so every
+    // element moves at most once and nothing is overwritten before it is
+    // read (`write >= i` throughout). The tail's filler value is arbitrary:
+    // every slot of it is written.
+    let (mut i, mut j) = (own.len(), theirs.len());
+    own.resize(i + added, theirs[0]);
+    let mut write = own.len();
+    while j > 0 {
+        let theirs_key = key(&theirs[j - 1]);
+        if i > 0 && key(&own[i - 1]) >= theirs_key {
+            if key(&own[i - 1]) == theirs_key {
+                j -= 1;
+            }
+            i -= 1;
+            write -= 1;
+            own[write] = own[i];
+        } else {
+            j -= 1;
+            write -= 1;
+            own[write] = theirs[j];
+        }
+    }
     added
 }
 
@@ -524,24 +566,59 @@ mod tests {
         assert_eq!(s.words().len(), 3);
     }
 
+    /// Sparse bytes and dense bytes of an id set, as the density rule
+    /// counts them.
+    fn sparse_and_dense_bytes(ids: &[usize]) -> (usize, usize) {
+        let words = ids.iter().max().map_or(0, |&max| max / 64 + 1);
+        (4 * ids.len(), 8 * words)
+    }
+
     #[test]
     fn adaptive_starts_sparse_and_promotes_past_the_crossover() {
+        // A set is sparse exactly while its id list is strictly smaller
+        // than the bitmap reaching its largest id: widely spaced ids stay
+        // sparse until the 4-byte entries catch up with the 8-byte words.
         let mut s = AdaptiveSet::new();
         assert!(!s.is_dense());
-        for i in 0..ADAPTIVE_SPARSE_LIMIT {
-            assert!(s.insert(i * 3));
+        let mut held = Vec::new();
+        for i in (0..40).rev() {
+            assert!(s.insert(i * 16));
+            held.push(i * 16);
+            let (sparse, dense) = sparse_and_dense_bytes(&held);
+            assert_eq!(s.is_dense(), sparse >= dense, "{} ids", held.len());
         }
-        assert!(!s.is_dense(), "at the limit the set is still sparse");
-        assert!(s.insert(ADAPTIVE_SPARSE_LIMIT * 3));
-        assert!(s.is_dense(), "one past the limit promotes");
-        // Semantics survive the promotion.
-        for i in 0..=ADAPTIVE_SPARSE_LIMIT {
-            assert!(s.contains(i * 3));
-            assert!(!s.contains(i * 3 + 1));
+        assert!(s.is_dense(), "10 words of bitmap against 40 ids: dense");
+        // Semantics survive the promotion, and promotion is one-way.
+        for i in 0..40 {
+            assert!(s.contains(i * 16));
+            assert!(!s.contains(i * 16 + 1));
         }
         let got: Vec<usize> = s.iter().collect();
-        let want: Vec<usize> = (0..=ADAPTIVE_SPARSE_LIMIT).map(|i| i * 3).collect();
+        let want: Vec<usize> = (0..40).map(|i| i * 16).collect();
         assert_eq!(got, want);
+        // Two ids inside one word fill its 8 bytes; across two words they
+        // do not.
+        let mut low = AdaptiveSet::new();
+        low.insert(5);
+        assert!(!low.is_dense());
+        low.insert(63);
+        assert!(low.is_dense());
+        let mut high = AdaptiveSet::new();
+        high.insert(5);
+        high.insert(64);
+        assert!(!high.is_dense());
+    }
+
+    #[test]
+    fn adaptive_cap_promotes_whatever_the_density() {
+        let mut s = AdaptiveSet::new();
+        for i in 0..ADAPTIVE_SPARSE_LIMIT {
+            s.insert(i << 12);
+        }
+        assert!(!s.is_dense(), "at the cap the set is still sparse");
+        s.insert(ADAPTIVE_SPARSE_LIMIT << 12);
+        assert!(s.is_dense(), "one past the cap promotes");
+        assert_eq!(s.iter().count(), ADAPTIVE_SPARSE_LIMIT + 1);
     }
 
     #[test]
@@ -574,16 +651,24 @@ mod tests {
 
     #[test]
     fn adaptive_union_promotes_when_the_merge_crosses_the_limit() {
+        // Two sparse sets over 32 words (32 ids each against 256 bytes of
+        // bitmap) whose union reaches the 64 ids that fill those bytes.
         let mut a = AdaptiveSet::new();
         let mut b = AdaptiveSet::new();
-        for i in 0..ADAPTIVE_SPARSE_LIMIT {
-            a.insert(2 * i);
-            b.insert(2 * i + 1);
+        for i in 0..32 {
+            a.insert(64 * i);
+            b.insert(64 * i + 1);
         }
         assert!(!a.is_dense() && !b.is_dense());
-        assert_eq!(a.union(&b), ADAPTIVE_SPARSE_LIMIT);
+        let mut short = a.clone();
+        assert_eq!(short.union(&AdaptiveSet::Sparse(vec![1, 65])), 2);
+        assert!(!short.is_dense(), "34 ids are still smaller than 32 words");
+        assert_eq!(a.union(&b), 32);
         assert!(a.is_dense());
-        assert_eq!(a.iter().count(), 2 * ADAPTIVE_SPARSE_LIMIT);
+        assert_eq!(a.iter().count(), 64);
+        // A sparse receiver of a dense set follows it.
+        assert_eq!(b.union(&a), 32);
+        assert!(b.is_dense());
     }
 
     #[test]
@@ -630,11 +715,33 @@ mod tests {
 
     #[test]
     fn merge_sorted_counts_only_new_elements() {
+        let merge = |own: &mut Vec<u32>, theirs: &[u32]| {
+            let mut seen = Vec::new();
+            let added = merge_sorted(own, theirs, |&id| id, |&id| seen.push(id));
+            assert_eq!(seen.len(), added);
+            (added, seen)
+        };
         let mut own = vec![1, 4, 9];
-        assert_eq!(merge_sorted(&mut own, &[0, 4, 10]), 2);
+        assert_eq!(merge(&mut own, &[0, 4, 10]), (2, vec![0, 10]));
         assert_eq!(own, vec![0, 1, 4, 9, 10]);
-        assert_eq!(merge_sorted(&mut own, &[]), 0);
-        assert_eq!(merge_sorted(&mut own, &[11, 12]), 2, "append fast path");
-        assert_eq!(own, vec![0, 1, 4, 9, 10, 11, 12]);
+        assert_eq!(merge(&mut own, &[]).0, 0);
+        assert_eq!(merge(&mut own, &[1, 9]).0, 0, "nothing new, nothing moves");
+        assert_eq!(merge(&mut own, &[11, 12]).0, 2, "past the tail");
+        assert_eq!(merge(&mut own, &[2, 3, 5]).0, 3, "interleaved");
+        assert_eq!(own, vec![0, 1, 2, 3, 4, 5, 9, 10, 11, 12]);
+        let mut empty = Vec::new();
+        assert_eq!(merge(&mut empty, &[7, 8]).0, 2);
+        assert_eq!(empty, vec![7, 8]);
+    }
+
+    #[test]
+    fn merge_sorted_reuses_spare_capacity() {
+        let mut own = Vec::with_capacity(8);
+        own.extend_from_slice(&[(2u32, 'a'), (6, 'b')]);
+        let before = own.as_ptr();
+        let added = merge_sorted(&mut own, &[(1, 'x'), (2, 'y'), (7, 'z')], |e| e.0, |_| {});
+        assert_eq!(added, 2);
+        assert_eq!(own, vec![(1, 'x'), (2, 'a'), (6, 'b'), (7, 'z')]);
+        assert_eq!(own.as_ptr(), before, "merged in place");
     }
 }

@@ -20,10 +20,11 @@ use crate::rumor::RumorSet;
 /// so a pair `(r, q)` is stored as `(r.origin, q)` — a point in the fixed
 /// `n × n` universe. The storage is one target set per origin row, and each
 /// row is *adaptive* (see `crate::bits::AdaptiveSet`): a sorted sparse id
-/// list while the row is small — so an early-phase process at `n = 65 536`
-/// holds a few dozen ids per known rumor instead of `Θ(n)` bitmap words —
-/// promoting per-row to the word-packed form past the crossover, where
-/// `contains` is a bit test, [`InformedList::union`] is a row-by-row
+/// list while that is smaller than the bitmap reaching its largest target —
+/// so an early-phase process at `n = 65 536` holds a few dozen ids per known
+/// rumor instead of `Θ(n)` bitmap words — promoting per-row to the
+/// word-packed form as soon as 4 bytes per id add up to 8 bytes per word
+/// (at `n ≤ 64`, from the second target on), where `contains` is a bit test, [`InformedList::union`] is a row-by-row
 /// word-wise OR, and the coverage queries that `ears`/`sears` evaluate every
 /// local step reduce to AND-ing the rows of the known rumors. Iteration
 /// yields pairs in ascending `(origin, target)` order in either
@@ -249,7 +250,6 @@ impl fmt::Debug for InformedList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::ADAPTIVE_SPARSE_LIMIT;
     use crate::rumor::Rumor;
 
     fn rumors(origins: &[usize]) -> RumorSet {
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn coverage_is_identical_across_row_representations() {
         // A sparse row and its force-promoted twin answer the coverage
-        // queries identically (the rows here stay far below the crossover).
+        // queries identically (five ids against four words: still sparse).
         let n = 200;
         let v = rumors(&[3]);
         let targets = [0usize, 64, 65, 130, 199];
@@ -390,7 +390,7 @@ mod tests {
             dense.uncovered_targets(&v, n)
         );
         assert_eq!(sparse.covers_all(&v, n), dense.covers_all(&v, n));
-        assert!(ADAPTIVE_SPARSE_LIMIT > targets.len());
+        assert!(!sparse.rows[3].is_dense());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use agossip_sim::ProcessId;
 
-use crate::bits::{trimmed, WordSet, WordSetIter, ADAPTIVE_SPARSE_LIMIT};
+use crate::bits::{merge_sorted, outgrows_sparse, trimmed, WordSet, WordSetIter};
 
 /// A rumor: the unit of information spread by gossip.
 ///
@@ -44,13 +44,18 @@ impl fmt::Display for Rumor {
 /// *adaptive* (see the `bits` module): a set starts as a sorted sparse
 /// `(origin, payload)` entry list — 16 bytes per rumor, independent of `n`,
 /// so a fresh process at `n = 65 536` holds its singleton in one small
-/// allocation instead of a `Θ(n)` payload array — and promotes past
-/// [`ADAPTIVE_SPARSE_LIMIT`] entries to the dense form: a word-packed
-/// presence bitset plus payloads. Dense payloads are *identity-compressed*:
-/// the gossip experiments tag every rumor with its origin index
+/// allocation instead of a `Θ(n)` payload array — and promotes, as soon as
+/// that would be no larger, to the dense form: a word-packed presence
+/// bitset plus payloads. Dense payloads are *identity-compressed*: the
+/// gossip experiments tag every rumor with its origin index
 /// (`payload == origin`), and as long as that holds no payload array is
 /// materialized at all — only consensus, whose payloads are votes, pays for
-/// an explicit array.
+/// an explicit array. The promotion rule counts exactly those bytes: 16 per
+/// sparse entry against 8 per presence word up to the largest origin held,
+/// plus 512 per word once a payload differs from its origin — so at
+/// `n ≤ 128` a gossip set is two machine words from its first rumor, while
+/// a consensus set of votes stays an entry list until it is just over
+/// half full.
 ///
 /// Both representations expose identical semantics: [`RumorSet::union`]
 /// deltas, membership, and iteration in ascending origin order — the same
@@ -70,8 +75,14 @@ pub struct RumorSet {
 
 #[derive(Clone)]
 enum Repr {
-    /// Sorted by origin, no duplicate origins.
-    Sparse(Vec<(u32, u64)>),
+    Sparse {
+        /// Sorted by origin, no duplicate origins.
+        entries: Vec<(u32, u64)>,
+        /// True while every entry's payload equals its origin — what
+        /// decides the dense form's size. Kept current on insert and merge,
+        /// never recomputed by a scan.
+        identity: bool,
+    },
     /// Word-packed presence plus payloads.
     Dense {
         present: WordSet,
@@ -122,7 +133,10 @@ impl Payloads {
 impl Default for RumorSet {
     fn default() -> Self {
         RumorSet {
-            repr: Repr::Sparse(Vec::new()),
+            repr: Repr::Sparse {
+                entries: Vec::new(),
+                identity: true,
+            },
             len: 0,
         }
     }
@@ -143,7 +157,7 @@ impl RumorSet {
 
     /// Switches to the dense representation (no-op if already dense).
     fn promote(&mut self) {
-        if let Repr::Sparse(entries) = &mut self.repr {
+        if let Repr::Sparse { entries, identity } = &mut self.repr {
             let entries = std::mem::take(entries);
             let mut present = WordSet::new();
             if let Some(&(max, _)) = entries.last() {
@@ -152,7 +166,7 @@ impl RumorSet {
             for &(o, _) in &entries {
                 present.insert(o as usize);
             }
-            let payloads = if entries.iter().all(|&(o, p)| p == o as u64) {
+            let payloads = if *identity {
                 Payloads::Identity
             } else {
                 let slots = present.words().len() * 64;
@@ -166,7 +180,27 @@ impl RumorSet {
         }
     }
 
-    /// Forces the dense representation regardless of cardinality. A hook
+    /// Promotes a sparse set whose dense form — presence words up to the
+    /// largest origin, plus the explicit payload array unless every payload
+    /// is its origin — would be no larger than the entry list.
+    fn promote_if_outgrown(&mut self) {
+        if let Repr::Sparse { entries, identity } = &self.repr {
+            let payload_bytes = if *identity { 0 } else { 64 * size_of::<u64>() };
+            let outgrown = entries.last().is_some_and(|&(max, _)| {
+                outgrows_sparse(
+                    entries.len(),
+                    size_of::<(u32, u64)>(),
+                    max as usize,
+                    size_of::<u64>() + payload_bytes,
+                )
+            });
+            if outgrown {
+                self.promote();
+            }
+        }
+    }
+
+    /// Forces the dense representation regardless of density. A hook
     /// for the representation-differential tests and benches; never needed
     /// in protocol code.
     #[doc(hidden)]
@@ -185,7 +219,7 @@ impl RumorSet {
     pub fn insert(&mut self, rumor: Rumor) -> bool {
         let index = rumor.origin.index();
         match &mut self.repr {
-            Repr::Sparse(entries) => {
+            Repr::Sparse { entries, identity } => {
                 let Ok(id) = u32::try_from(index) else {
                     // Beyond the sparse id range: fall through to dense,
                     // which handles any index (as the historical
@@ -197,10 +231,9 @@ impl RumorSet {
                     Ok(_) => false,
                     Err(pos) => {
                         entries.insert(pos, (id, rumor.payload));
+                        *identity &= rumor.payload == u64::from(id);
                         self.len += 1;
-                        if entries.len() > ADAPTIVE_SPARSE_LIMIT {
-                            self.promote();
-                        }
+                        self.promote_if_outgrown();
                         true
                     }
                 }
@@ -219,14 +252,29 @@ impl RumorSet {
     /// Merges every rumor of `other` into `self`. Returns the number of new
     /// origins added.
     pub fn union(&mut self, other: &RumorSet) -> usize {
-        if matches!(&self.repr, Repr::Sparse(_)) && matches!(&other.repr, Repr::Dense { .. }) {
+        if matches!(&self.repr, Repr::Sparse { .. }) && matches!(&other.repr, Repr::Dense { .. }) {
             // The other side has already outgrown the sparse form; so will
             // the union.
             self.promote();
         }
         let added = match (&mut self.repr, &other.repr) {
-            (Repr::Sparse(own), Repr::Sparse(theirs)) => merge_entries(own, theirs),
-            (Repr::Dense { present, payloads }, Repr::Sparse(theirs)) => {
+            (
+                Repr::Sparse { entries, identity },
+                Repr::Sparse {
+                    entries: theirs, ..
+                },
+            ) => merge_sorted(
+                entries,
+                theirs,
+                |&(o, _)| o,
+                |&(o, p)| *identity &= p == u64::from(o),
+            ),
+            (
+                Repr::Dense { present, payloads },
+                Repr::Sparse {
+                    entries: theirs, ..
+                },
+            ) => {
                 let mut added = 0usize;
                 for &(o, p) in theirs {
                     let index = o as usize;
@@ -265,14 +313,10 @@ impl RumorSet {
                     added
                 }
             }
-            (Repr::Sparse(_), Repr::Dense { .. }) => unreachable!("promoted above"),
+            (Repr::Sparse { .. }, Repr::Dense { .. }) => unreachable!("promoted above"),
         };
         self.len += added;
-        if let Repr::Sparse(entries) = &self.repr {
-            if entries.len() > ADAPTIVE_SPARSE_LIMIT {
-                self.promote();
-            }
-        }
+        self.promote_if_outgrown();
         added
     }
 
@@ -360,7 +404,7 @@ impl RumorSet {
                         word & !own.get(w).copied().unwrap_or(0) == 0
                     })
                 }
-                Repr::Sparse(_) => {
+                Repr::Sparse { .. } => {
                     view.len() <= self.len && view.iter().all(|r| self.contains_origin(r.origin))
                 }
             },
@@ -370,7 +414,7 @@ impl RumorSet {
     /// True if a rumor originating at `origin` is present.
     pub fn contains_origin(&self, origin: ProcessId) -> bool {
         match &self.repr {
-            Repr::Sparse(entries) => u32::try_from(origin.index())
+            Repr::Sparse { entries, .. } => u32::try_from(origin.index())
                 .is_ok_and(|id| entries.binary_search_by_key(&id, |&(o, _)| o).is_ok()),
             Repr::Dense { present, .. } => present.contains(origin.index()),
         }
@@ -379,7 +423,7 @@ impl RumorSet {
     /// Returns the rumor originating at `origin`, if present.
     pub fn get(&self, origin: ProcessId) -> Option<Rumor> {
         match &self.repr {
-            Repr::Sparse(entries) => {
+            Repr::Sparse { entries, .. } => {
                 let id = u32::try_from(origin.index()).ok()?;
                 entries
                     .binary_search_by_key(&id, |&(o, _)| o)
@@ -409,7 +453,7 @@ impl RumorSet {
     /// Iterates over the rumors in origin order.
     pub fn iter(&self) -> impl Iterator<Item = Rumor> + '_ {
         match &self.repr {
-            Repr::Sparse(entries) => RumorIter::Sparse(entries.iter()),
+            Repr::Sparse { entries, .. } => RumorIter::Sparse(entries.iter()),
             Repr::Dense { present, payloads } => RumorIter::Dense {
                 bits: present.iter(),
                 payloads,
@@ -425,7 +469,12 @@ impl RumorSet {
     /// True if `self` contains every rumor of `other`.
     pub fn is_superset_of(&self, other: &RumorSet) -> bool {
         match (&self.repr, &other.repr) {
-            (_, Repr::Sparse(theirs)) => theirs
+            (
+                _,
+                Repr::Sparse {
+                    entries: theirs, ..
+                },
+            ) => theirs
                 .iter()
                 .all(|&(o, _)| self.contains_origin(ProcessId(o as usize))),
             (
@@ -436,7 +485,7 @@ impl RumorSet {
                 },
             ) => present.is_superset_of(other_present),
             (
-                Repr::Sparse(_),
+                Repr::Sparse { .. },
                 Repr::Dense {
                     present: other_present,
                     ..
@@ -456,7 +505,7 @@ impl RumorSet {
     /// whichever representation the set happens to be in.
     pub(crate) fn dense_words(&self) -> Cow<'_, [u64]> {
         match &self.repr {
-            Repr::Sparse(entries) => {
+            Repr::Sparse { entries, .. } => {
                 let Some(&(max, _)) = entries.last() else {
                     return Cow::Owned(Vec::new());
                 };
@@ -469,46 +518,6 @@ impl RumorSet {
             Repr::Dense { present, .. } => Cow::Borrowed(trimmed(present.words())),
         }
     }
-}
-
-/// Merges sorted `theirs` into sorted `own` (both keyed by origin,
-/// duplicate free); an origin already present keeps its payload. Returns
-/// the number of new origins.
-fn merge_entries(own: &mut Vec<(u32, u64)>, theirs: &[(u32, u64)]) -> usize {
-    if theirs.is_empty() {
-        return 0;
-    }
-    // Fast path: everything new lands past the current tail.
-    if own.last().is_none_or(|&(tail, _)| tail < theirs[0].0) {
-        own.extend_from_slice(theirs);
-        return theirs.len();
-    }
-    let mut merged = Vec::with_capacity(own.len() + theirs.len());
-    let (mut i, mut j, mut added) = (0usize, 0usize, 0usize);
-    while i < own.len() && j < theirs.len() {
-        match own[i].0.cmp(&theirs[j].0) {
-            std::cmp::Ordering::Less => {
-                merged.push(own[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.push(theirs[j]);
-                j += 1;
-                added += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                // First payload wins.
-                merged.push(own[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    merged.extend_from_slice(&own[i..]);
-    added += theirs.len() - j;
-    merged.extend_from_slice(&theirs[j..]);
-    *own = merged;
-    added
 }
 
 enum RumorIter<'a> {
@@ -566,6 +575,7 @@ impl FromIterator<Rumor> for RumorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::ADAPTIVE_SPARSE_LIMIT;
 
     fn r(origin: usize, payload: u64) -> Rumor {
         Rumor::new(ProcessId(origin), payload)
@@ -638,7 +648,11 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert!(set.contains_origin(ProcessId(5)));
         assert!(!set.contains_origin(ProcessId(4)));
-        assert!(!set.is_dense(), "a singleton stays sparse");
+        assert!(!set.is_dense(), "one vote is smaller than a payload array");
+        // A gossip singleton (payload = origin) is dense exactly when its
+        // bitmap is no larger than the one 16-byte entry: up to two words.
+        assert!(RumorSet::singleton(r(127, 127)).is_dense());
+        assert!(!RumorSet::singleton(r(128, 128)).is_dense());
     }
 
     #[test]
@@ -668,34 +682,56 @@ mod tests {
 
     #[test]
     fn promotion_happens_past_the_crossover_and_preserves_content() {
+        // Identity payloads over 16 words: 128 bytes of bitmap, so the
+        // eighth 16-byte entry is the first that makes dense no larger.
         let mut set = RumorSet::new();
-        for i in 0..=ADAPTIVE_SPARSE_LIMIT {
-            set.insert(r(2 * i, (2 * i) as u64));
+        for i in (0..8).rev() {
+            assert!(!set.is_dense(), "{} entries", set.len());
+            set.insert(r(128 * i + 127, (128 * i + 127) as u64));
         }
-        assert!(set.is_dense(), "one past the limit promotes");
-        assert_eq!(set.len(), ADAPTIVE_SPARSE_LIMIT + 1);
+        assert!(set.is_dense());
+        assert_eq!(set.len(), 8);
         let origins: Vec<usize> = set.origins().map(|p| p.index()).collect();
-        let want: Vec<usize> = (0..=ADAPTIVE_SPARSE_LIMIT).map(|i| 2 * i).collect();
+        let want: Vec<usize> = (0..8).map(|i| 128 * i + 127).collect();
         assert_eq!(origins, want);
-        assert_eq!(set.get(ProcessId(4)), Some(r(4, 4)));
+        assert_eq!(set.get(ProcessId(255)), Some(r(255, 255)));
+        // Past the cap a set promotes whatever its density.
+        let mut wide = RumorSet::new();
+        for i in 1..=ADAPTIVE_SPARSE_LIMIT + 1 {
+            assert!(!wide.is_dense());
+            wide.insert(r(i << 12, (i << 12) as u64));
+        }
+        assert!(wide.is_dense(), "one past the cap promotes");
+        assert_eq!(wide.len(), ADAPTIVE_SPARSE_LIMIT + 1);
     }
 
     #[test]
     fn non_identity_payloads_survive_promotion_and_dense_union() {
-        // Payloads that do NOT equal their origin (the consensus case).
+        // Payloads that do NOT equal their origin (the consensus case): the
+        // dense form carries 64 payloads per presence word, so over two
+        // words (1 040 bytes) the set stays sparse through 64 entries.
         let mut set = RumorSet::new();
-        for i in 0..=ADAPTIVE_SPARSE_LIMIT {
-            set.insert(r(i, (i % 2) as u64));
+        for i in (0..128).rev() {
+            assert_eq!(set.is_dense(), set.len() >= 65, "{} entries", set.len());
+            set.insert(r(i, (i % 2) as u64 + 7));
         }
         assert!(set.is_dense());
-        for i in 0..=ADAPTIVE_SPARSE_LIMIT {
-            assert_eq!(set.get(ProcessId(i)), Some(r(i, (i % 2) as u64)));
+        for i in 0..128 {
+            assert_eq!(set.get(ProcessId(i)), Some(r(i, (i % 2) as u64 + 7)));
         }
         // A dense union carrying a non-identity payload lands intact.
         let mut incoming = RumorSet::singleton(r(400, 9));
         incoming.force_dense();
         assert_eq!(set.union(&incoming), 1);
         assert_eq!(set.get(ProcessId(400)), Some(r(400, 9)));
+        // One non-identity entry merged into a gossip set switches the
+        // rule to the payload-carrying size without a rescan.
+        let mut gossip: RumorSet = [r(200, 200), r(300, 300)].into_iter().collect();
+        assert!(!gossip.is_dense());
+        assert_eq!(gossip.union(&RumorSet::singleton(r(250, 1))), 1);
+        gossip.insert(r(310, 310));
+        assert!(!gossip.is_dense(), "64 B of entries against 2 600 B dense");
+        assert_eq!(gossip.get(ProcessId(250)), Some(r(250, 1)));
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Representation-differential proptests for the adaptive sparse/dense
 //! rework: the same operation sequence is driven once against sets left in
-//! their natural adaptive representation (sparse id lists promoting to dense
-//! word-packed form past [`ADAPTIVE_SPARSE_LIMIT`]) and once against copies
-//! force-promoted to dense up front. Every observable — membership, length,
-//! union deltas, iteration order, coverage queries, equality, and the exact
-//! wire bytes of the codec — must be identical regardless of which
-//! representation each set happens to be in.
+//! their natural adaptive representation (sparse id lists promoting to the
+//! dense word-packed form as soon as that is no larger) and once against
+//! copies force-promoted to dense up front. Every observable — membership,
+//! length, union deltas, iteration order, coverage queries, equality, and
+//! the exact wire bytes of the codec — must be identical regardless of which
+//! representation each set happens to be in, and folding a borrowed wire
+//! view in (`union_view` / `is_superset_of_view`) must agree with both.
 //!
-//! The origin universe deliberately straddles the promotion crossover so
-//! sequences exercise sparse-only, mixed, and post-promotion states; together
+//! Two universes are drawn. The narrow one (12 words) goes dense after a
+//! handful of entries, so its sequences live in the post-promotion states;
+//! the wide one (at most 64 ids out of `0..2^20`) never fills its bitmap, so
+//! its natural sets stay sparse and every sparse×sparse, sparse×dense and
+//! dense×sparse pairing of the binary operations is exercised. Together
 //! with the oracle tests in `rumor_differential.rs` and the golden pins in
 //! `seed_equivalence.rs` this proves the adaptive rework is bit-for-bit
 //! equivalent to the dense-only behaviour.
@@ -18,12 +22,19 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use agossip_core::informed_list::InformedList;
-use agossip_core::{EarsMessage, Rumor, RumorSet, WireCodec, ADAPTIVE_SPARSE_LIMIT};
+use agossip_core::{
+    EarsMessage, Rumor, RumorSet, SyncMessage, WireCodec, WireDecodeView, ADAPTIVE_SPARSE_LIMIT,
+};
 use agossip_sim::ProcessId;
 
-/// Universe of origins: wide enough that a union can jump a set from far
-/// below the crossover to far above it in one operation.
+/// Narrow universe of origins: a few words, dense almost at once.
 const UNIVERSE: usize = 3 * ADAPTIVE_SPARSE_LIMIT;
+
+/// Wide universe: so few of so many ids that a natural set stays sparse.
+const WIDE_UNIVERSE: usize = 1 << 20;
+
+/// Most ids a wide-universe sequence may mention in total.
+const WIDE_IDS: usize = 64;
 
 /// One operation of the differential driver, applied to both twins.
 #[derive(Debug, Clone)]
@@ -34,11 +45,11 @@ enum Op {
     Union(Vec<(usize, u64)>),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy(universe: usize, union_len: usize) -> impl Strategy<Value = Op> {
     (
         0..2usize,
-        (0..UNIVERSE, any::<u64>()),
-        prop::collection::vec((0..UNIVERSE, any::<u64>()), 0..(ADAPTIVE_SPARSE_LIMIT + 64)),
+        (0..universe, any::<u64>()),
+        prop::collection::vec((0..universe, any::<u64>()), 0..union_len),
     )
         .prop_map(|(tag, (o, p), rumors)| match tag {
             0 => Op::Insert(o, p),
@@ -46,9 +57,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
 }
 
-/// Payload strategy biased towards the identity encoding (`payload ==
-/// origin`) the gossip protocols use, with enough explicit payloads mixed in
-/// to exercise the materialized path.
+/// Up to 16 operations over the narrow universe (unions of up to a few
+/// hundred rumors) or, when `wide`, over the wide one (8 operations of at
+/// most 7 ids each, so no more than [`WIDE_IDS`] ids in all).
+fn ops_strategy(wide: bool) -> impl Strategy<Value = Vec<Op>> {
+    let (universe, union_len, ops) = if wide {
+        (WIDE_UNIVERSE, WIDE_IDS / 8, 8)
+    } else {
+        (UNIVERSE, ADAPTIVE_SPARSE_LIMIT + 64, 16)
+    };
+    prop::collection::vec(op_strategy(universe, union_len), 0..ops + 1)
+}
+
 fn set_from(rumors: &[(usize, u64)]) -> RumorSet {
     let mut set = RumorSet::new();
     for &(o, p) in rumors {
@@ -63,25 +83,39 @@ fn dense_twin(set: &RumorSet) -> RumorSet {
     twin
 }
 
+fn list_from(pairs: &[(usize, usize)]) -> InformedList {
+    let mut list = InformedList::new();
+    for &(o, t) in pairs {
+        list.insert(ProcessId(o), ProcessId(t));
+    }
+    list
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Arbitrary insert/union sequences observe identical state whether the
-    /// sets stay adaptive or are force-promoted to dense after every step.
+    /// sets stay adaptive, are force-promoted to dense up front, or take
+    /// every union as a borrowed wire view.
     #[test]
     fn rumor_set_observables_are_representation_independent(
-        ops in prop::collection::vec(op_strategy(), 0..16),
+        ops in any::<bool>().prop_flat_map(ops_strategy),
         identity_payloads in any::<bool>(),
     ) {
         let mut adaptive = RumorSet::new();
         let mut dense = RumorSet::new();
         dense.force_dense();
-        for op in ops {
+        let mut viewed = RumorSet::new();
+        let mut mentioned = vec![0usize];
+        for (step, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Insert(origin, payload) => {
                     let payload = if identity_payloads { origin as u64 } else { payload };
                     let r = Rumor::new(ProcessId(origin), payload);
-                    prop_assert_eq!(adaptive.insert(r), dense.insert(r));
+                    mentioned.push(origin);
+                    let fresh = dense.insert(r);
+                    prop_assert_eq!(adaptive.insert(r), fresh);
+                    prop_assert_eq!(viewed.insert(r), fresh);
                 }
                 Op::Union(rumors) => {
                     let rumors: Vec<(usize, u64)> = if identity_payloads {
@@ -89,19 +123,40 @@ proptest! {
                     } else {
                         rumors
                     };
+                    mentioned.extend(rumors.iter().map(|&(o, _)| o));
                     let arg = set_from(&rumors);
                     // Cross the representations on the argument side too:
-                    // adaptive ∪ dense-arg and dense ∪ adaptive-arg.
-                    prop_assert_eq!(adaptive.union(&dense_twin(&arg)), dense.union(&arg));
+                    // the forced-dense receiver always takes the natural
+                    // argument; the natural receiver takes the natural one
+                    // on even steps (sparse × sparse while both are small)
+                    // and its forced-dense twin on odd ones.
+                    let crossed = if step % 2 == 0 { arg.clone() } else { dense_twin(&arg) };
+                    let frame = SyncMessage { rumors: Arc::new(arg.clone()) }.encode();
+                    let view = SyncMessage::decode_view(&frame).unwrap().rumors;
+
+                    let covered = dense.is_superset_of(&arg);
+                    prop_assert_eq!(adaptive.is_superset_of(&crossed), covered);
+                    prop_assert_eq!(adaptive.is_superset_of_view(&view), covered);
+                    prop_assert_eq!(dense.is_superset_of_view(&view), covered);
+                    prop_assert_eq!(arg.is_superset_of(&adaptive), crossed.is_superset_of(&dense));
+
+                    let added = dense.union(&arg);
+                    prop_assert_eq!(adaptive.union(&crossed), added);
+                    prop_assert_eq!(viewed.union_view(&view), added);
+                    prop_assert_eq!(covered, added == 0);
                 }
             }
             prop_assert_eq!(adaptive.len(), dense.len());
             prop_assert_eq!(adaptive == dense, true, "PartialEq must ignore representation");
+            prop_assert_eq!(&viewed, &adaptive, "view unions must land the same contents");
             let a: Vec<Rumor> = adaptive.iter().collect();
             let d: Vec<Rumor> = dense.iter().collect();
             prop_assert_eq!(a, d, "iteration order must match");
-            for q in ProcessId::all(UNIVERSE) {
-                prop_assert_eq!(adaptive.get(q), dense.get(q));
+            for &o in &mentioned {
+                for q in [ProcessId(o), ProcessId(o + 1)] {
+                    prop_assert_eq!(adaptive.get(q), dense.get(q));
+                    prop_assert_eq!(viewed.get(q), dense.get(q));
+                }
             }
             prop_assert_eq!(
                 adaptive.is_superset_of(&dense) && dense.is_superset_of(&adaptive),
@@ -115,17 +170,23 @@ proptest! {
     /// section choice is a pure function of the contents.
     #[test]
     fn wire_bytes_are_representation_independent(
-        rumors in prop::collection::vec(0..UNIVERSE, 0..(ADAPTIVE_SPARSE_LIMIT + 32)),
-        pairs in prop::collection::vec((0..UNIVERSE, 0..64usize), 0..(ADAPTIVE_SPARSE_LIMIT + 32)),
+        (rumors, pairs) in any::<bool>().prop_flat_map(|wide| {
+            let (universe, len) = if wide {
+                (WIDE_UNIVERSE, WIDE_IDS)
+            } else {
+                (UNIVERSE, ADAPTIVE_SPARSE_LIMIT + 32)
+            };
+            (
+                prop::collection::vec(0..universe, 0..len),
+                prop::collection::vec((0..UNIVERSE, 0..if wide { universe } else { 64 }), 0..len),
+            )
+        }),
     ) {
         let mut set = RumorSet::new();
         for &o in &rumors {
             set.insert(Rumor::new(ProcessId(o), o as u64));
         }
-        let mut informed = InformedList::new();
-        for &(o, t) in &pairs {
-            informed.insert(ProcessId(o), ProcessId(t));
-        }
+        let informed = list_from(&pairs);
         let mut dense_set = set.clone();
         dense_set.force_dense();
         let mut dense_informed = informed.clone();
@@ -149,12 +210,23 @@ proptest! {
         prop_assert_eq!(adaptive_frame, reencoded);
     }
 
-    /// `InformedList` coverage queries and unions agree between adaptive
-    /// rows and force-promoted rows.
+    /// `InformedList` coverage queries, unions and view unions agree between
+    /// adaptive rows and force-promoted rows. Targets come from `0..48` (a
+    /// row is dense from its second target on) or from the wide universe (a
+    /// row stays a short id list).
     #[test]
     fn informed_list_observables_are_representation_independent(
-        pairs in prop::collection::vec((0..UNIVERSE, 0..48usize), 0..(ADAPTIVE_SPARSE_LIMIT + 32)),
-        extra in prop::collection::vec((0..UNIVERSE, 0..48usize), 0..32),
+        (pairs, extra) in any::<bool>().prop_flat_map(|wide| {
+            let (targets, len) = if wide {
+                (WIDE_UNIVERSE, WIDE_IDS)
+            } else {
+                (48, ADAPTIVE_SPARSE_LIMIT + 32)
+            };
+            (
+                prop::collection::vec((0..UNIVERSE, 0..targets), 0..len),
+                prop::collection::vec((0..UNIVERSE, 0..targets), 0..32),
+            )
+        }),
         probe_origins in prop::collection::vec(0..UNIVERSE, 0..8),
     ) {
         let n = 48;
@@ -167,6 +239,7 @@ proptest! {
             );
         }
         dense.force_dense();
+        let mut viewed = adaptive.clone();
 
         let mut probe = RumorSet::new();
         for &o in &probe_origins {
@@ -183,17 +256,35 @@ proptest! {
         prop_assert_eq!(adaptive.covers_all(&probe, n), dense.covers_all(&probe, n));
 
         // Union across mixed representations: adaptive ∪ dense-arg must
-        // report the same delta as dense ∪ adaptive-arg.
-        let mut adaptive_arg = InformedList::new();
-        for &(o, t) in &extra {
-            adaptive_arg.insert(ProcessId(o), ProcessId(t));
-        }
+        // report the same delta as dense ∪ adaptive-arg, and as folding the
+        // argument's wire view into an adaptive list.
+        let adaptive_arg = list_from(&extra);
         let mut dense_arg = adaptive_arg.clone();
         dense_arg.force_dense();
-        prop_assert_eq!(adaptive.union(&dense_arg), dense.union(&adaptive_arg));
+        let frame = EarsMessage {
+            rumors: Arc::new(RumorSet::new()),
+            informed: Arc::new(adaptive_arg.clone()),
+        }
+        .encode();
+        let view = EarsMessage::decode_view(&frame).unwrap().informed;
+
+        let covered = dense.is_superset_of(&adaptive_arg);
+        prop_assert_eq!(adaptive.is_superset_of(&dense_arg), covered);
+        prop_assert_eq!(adaptive.is_superset_of(&adaptive_arg), covered);
+        prop_assert_eq!(adaptive.is_superset_of_view(&view), covered);
+        prop_assert_eq!(dense.is_superset_of_view(&view), covered);
+
+        let added = dense.union(&adaptive_arg);
+        prop_assert_eq!(viewed.union_view(&view), added);
+        let mut sparse_pair = adaptive.clone();
+        prop_assert_eq!(sparse_pair.union(&adaptive_arg), added);
+        prop_assert_eq!(adaptive.union(&dense_arg), added);
         prop_assert_eq!(adaptive.len(), dense.len());
         let a: Vec<_> = adaptive.iter().collect();
         let d: Vec<_> = dense.iter().collect();
-        prop_assert_eq!(a, d, "post-union pair iteration order must match");
+        prop_assert_eq!(&a, &d, "post-union pair iteration order must match");
+        let v: Vec<_> = viewed.iter().collect();
+        prop_assert_eq!(&v, &d, "view union must land the same pairs");
+        prop_assert_eq!(sparse_pair, adaptive);
     }
 }

@@ -11,15 +11,25 @@
 //! iteration order, same coverage queries. Together with the golden pins in
 //! `seed_equivalence.rs` this proves the bitset rewrite is bit-for-bit
 //! equivalent to the pre-change behaviour.
+//!
+//! Ids come from a narrow universe (a few words: the sets go dense after a
+//! handful of entries) or from a wide one (at most 64 ids out of `0..2^20`:
+//! the sets stay sorted entry lists), so both forms meet the oracle; and
+//! `promotion_follows_density_and_matches_oracle` pins *when* a set changes
+//! form — as soon as, and not before, its dense form is no larger.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use agossip_bench::rumorset::BTreeRumorSet;
 use agossip_core::informed_list::InformedList;
-use agossip_core::{Rumor, RumorSet};
+use agossip_core::{Rumor, RumorSet, SyncMessage, WireCodec, ADAPTIVE_SPARSE_LIMIT};
 use agossip_sim::ProcessId;
+
+/// Wide universe: so few of so many ids that a set stays sparse.
+const WIDE_UNIVERSE: usize = 1 << 20;
 
 /// The seed `InformedList`: a sorted set of `(origin, target)` pairs.
 #[derive(Default, Clone)]
@@ -79,6 +89,77 @@ fn set_op_strategy(universe: usize) -> impl Strategy<Value = SetOp> {
         })
 }
 
+/// Up to 24 operations over `0..narrow`, or — half the time — up to 6 over
+/// the wide universe (no more than 64 ids in all).
+fn set_ops_strategy(narrow: usize) -> impl Strategy<Value = Vec<SetOp>> {
+    any::<bool>().prop_flat_map(move |wide| {
+        let (universe, ops) = if wide {
+            (WIDE_UNIVERSE, 6)
+        } else {
+            (narrow, 24)
+        };
+        prop::collection::vec(set_op_strategy(universe), 0..ops)
+    })
+}
+
+/// Applies `op` to the set and its oracle, asserting equal return values.
+/// With `identity` every payload is replaced by its origin (the plain-gossip
+/// tagging), otherwise every other one is, so vote-like sets mix both kinds
+/// and an origin can arrive twice with different payloads. Returns the
+/// origins the operation mentioned.
+fn apply_set_op(
+    op: SetOp,
+    identity: bool,
+    set: &mut RumorSet,
+    oracle: &mut BTreeRumorSet,
+) -> Vec<ProcessId> {
+    let rumor = |(o, p): (usize, u64)| {
+        let tagged = identity || p.is_multiple_of(2);
+        Rumor::new(ProcessId(o), if tagged { o as u64 } else { p })
+    };
+    match op {
+        SetOp::Insert(origin, payload) => {
+            let r = rumor((origin, payload));
+            prop_assert_eq!(set.insert(r), oracle.insert(r));
+            vec![r.origin]
+        }
+        SetOp::Union(rumors) => {
+            let mut set_arg = RumorSet::new();
+            let mut oracle_arg = BTreeRumorSet::default();
+            for r in rumors.into_iter().map(rumor) {
+                set_arg.insert(r);
+                oracle_arg.insert(r);
+            }
+            prop_assert_eq!(set.union(&set_arg), oracle.union(&oracle_arg));
+            // Superset relations agree in both directions.
+            prop_assert_eq!(
+                set.is_superset_of(&set_arg),
+                oracle.is_superset_of(&oracle_arg)
+            );
+            prop_assert_eq!(
+                set_arg.is_superset_of(set),
+                oracle_arg.is_superset_of(oracle)
+            );
+            oracle_arg.iter().map(|r| r.origin).collect()
+        }
+    }
+}
+
+/// The bytes of a set's sorted entry list and of its dense form (presence
+/// words up to the largest origin, plus 64 payloads per word unless every
+/// payload is its origin), as the promotion rule counts them.
+fn sparse_and_dense_bytes(oracle: &BTreeRumorSet) -> (usize, usize) {
+    let words = oracle
+        .iter()
+        .last()
+        .map_or(0, |r| r.origin.index() / 64 + 1);
+    let identity = oracle.iter().all(|r| r.payload == r.origin.index() as u64);
+    (
+        16 * oracle.len(),
+        words * if identity { 8 } else { 8 + 64 * 8 },
+    )
+}
+
 /// One operation of the `InformedList` differential driver.
 #[derive(Debug, Clone)]
 enum ListOp {
@@ -89,12 +170,22 @@ enum ListOp {
     Union(Vec<(usize, usize)>),
 }
 
-fn list_op_strategy(universe: usize) -> impl Strategy<Value = ListOp> {
+/// Origins from `0..origins`; targets from `0..origins` too or — half the
+/// time, per sequence — from the wide universe, where a row stays a short
+/// sorted id list instead of going dense at its second target.
+fn list_ops_strategy(origins: usize) -> impl Strategy<Value = Vec<ListOp>> {
+    any::<bool>().prop_flat_map(move |wide| {
+        let targets = if wide { WIDE_UNIVERSE } else { origins };
+        prop::collection::vec(list_op_strategy(origins, targets), 0..24)
+    })
+}
+
+fn list_op_strategy(origins: usize, targets: usize) -> impl Strategy<Value = ListOp> {
     (
         0..3usize,
-        (0..universe, 0..universe),
-        prop::collection::vec(0..universe, 0..6),
-        prop::collection::vec((0..universe, 0..universe), 0..16),
+        (0..origins, 0..targets),
+        prop::collection::vec(0..origins, 0..6),
+        prop::collection::vec((0..origins, 0..targets), 0..16),
     )
         .prop_map(|(tag, (o, t), origins, pairs)| match tag {
             0 => ListOp::Insert(o, t),
@@ -110,45 +201,64 @@ proptest! {
     /// sets to identical observable states.
     #[test]
     fn rumor_set_matches_btreemap_oracle(
-        ops in prop::collection::vec(set_op_strategy(200), 0..24),
+        ops in set_ops_strategy(200),
     ) {
         let mut dense = RumorSet::new();
         let mut oracle = BTreeRumorSet::default();
         for op in ops {
-            match op {
-                SetOp::Insert(origin, payload) => {
-                    let r = Rumor::new(ProcessId(origin), payload);
-                    prop_assert_eq!(dense.insert(r), oracle.insert(r));
-                }
-                SetOp::Union(rumors) => {
-                    let mut dense_arg = RumorSet::new();
-                    let mut oracle_arg = BTreeRumorSet::default();
-                    for (o, p) in rumors {
-                        let r = Rumor::new(ProcessId(o), p);
-                        dense_arg.insert(r);
-                        oracle_arg.insert(r);
-                    }
-                    prop_assert_eq!(dense.union(&dense_arg), oracle.union(&oracle_arg));
-                    // Superset relations agree in both directions.
-                    prop_assert_eq!(
-                        dense.is_superset_of(&dense_arg),
-                        oracle.is_superset_of(&oracle_arg)
-                    );
-                    prop_assert_eq!(
-                        dense_arg.is_superset_of(&dense),
-                        oracle_arg.is_superset_of(&oracle)
-                    );
-                }
-            }
+            let mentioned = apply_set_op(op, false, &mut dense, &mut oracle);
             // Observable state is identical after every operation.
             prop_assert_eq!(dense.len(), oracle.len());
             prop_assert_eq!(dense.is_empty(), oracle.is_empty());
             let dense_rumors: Vec<Rumor> = dense.iter().collect();
             let oracle_rumors: Vec<Rumor> = oracle.iter().collect();
             prop_assert_eq!(dense_rumors, oracle_rumors, "iteration order must match");
-            for q in ProcessId::all(200) {
+            for q in ProcessId::all(200).chain(mentioned) {
                 prop_assert_eq!(dense.get(q), oracle.get(q));
+                prop_assert_eq!(dense.contains_origin(q), oracle.contains_origin(q));
             }
+        }
+    }
+
+    /// The density rule, from outside: over arbitrary insert/union
+    /// sequences with gossip (identity) or vote-like payloads, (i) a non-empty
+    /// set that is still sparse is strictly smaller than its dense form would
+    /// be, and within the cap; (ii) promotion is one-way; (iii) contents,
+    /// ascending iteration and union deltas equal the `BTreeMap` oracle's,
+    /// and the encoded bytes equal those of a force-promoted twin.
+    #[test]
+    fn promotion_follows_density_and_matches_oracle(
+        ops in set_ops_strategy(3 * ADAPTIVE_SPARSE_LIMIT),
+        identity in any::<bool>(),
+    ) {
+        let mut set = RumorSet::new();
+        let mut oracle = BTreeRumorSet::default();
+        let mut was_dense = false;
+        for op in ops {
+            apply_set_op(op, identity, &mut set, &mut oracle);
+
+            if !set.is_dense() && !set.is_empty() {
+                let (sparse, dense) = sparse_and_dense_bytes(&oracle);
+                prop_assert!(
+                    sparse < dense,
+                    "still sparse at {sparse} B against {dense} B dense: {oracle:?}"
+                );
+                prop_assert!(set.len() <= ADAPTIVE_SPARSE_LIMIT);
+            }
+            prop_assert!(set.is_dense() || !was_dense, "a dense set went back to sparse");
+            was_dense = set.is_dense();
+
+            let held: Vec<Rumor> = set.iter().collect();
+            let want: Vec<Rumor> = oracle.iter().collect();
+            prop_assert_eq!(held, want, "contents and order must match the oracle");
+            prop_assert_eq!(set.len(), oracle.len());
+            let mut twin = set.clone();
+            twin.force_dense();
+            prop_assert_eq!(
+                SyncMessage { rumors: Arc::new(set.clone()) }.encode(),
+                SyncMessage { rumors: Arc::new(twin) }.encode(),
+                "wire bytes must not depend on the representation"
+            );
         }
     }
 
@@ -157,7 +267,7 @@ proptest! {
     /// the `L(p)` coverage queries `ears`/`sears` evaluate every step.
     #[test]
     fn informed_list_matches_btreeset_oracle(
-        ops in prop::collection::vec(list_op_strategy(48), 0..24),
+        ops in list_ops_strategy(48),
         probe_origins in prop::collection::vec(0..48usize, 0..6),
     ) {
         let n = 48;
