@@ -20,16 +20,17 @@
 //! The calibration is measured, not assumed. At `d = 6` the single-seed
 //! coverage cliff sits at `a ≈ 14` (`n = 4 096`), `a ≈ 17` (`16 384`) and
 //! by extrapolation `a ≈ 23` (`65 536`); the `< 4 GiB` peak-RSS budget of
-//! the `n = 65 536` run caps `a` at about 28 (peak memory is dominated by
-//! the `Θ(n·a·√a)` in-flight queue entries plus one dense rumor-set
-//! snapshot generation per broadcasting wave). `a(n) = 2 + 1.5·log₂ n`
+//! the `n = 65 536` run caps `a` at about 28 (peak memory is the dense
+//! sets — one rumor-set snapshot generation per broadcasting wave on top of
+//! the per-process sets and informed lists — plus the `Θ(n·a·√a)`
+//! in-flight queue entries, a measured sixth of it). `a(n) = 2 + 1.5·log₂ n`
 //! threads that needle: margins of 1.4×/1.3× over the cliff at the two
 //! smaller sizes, 1.13× at `n = 65 536`, and a measured 3.6 GiB peak
 //! (131 s, 18.7 M messages, this repo's 1-core reference box — see
 //! `BENCH_scale.json`).
 //!
 //! The scenario exists to pin the simulator's *scaling* behaviour — the
-//! adaptive sparse/dense set representation, the sharded network scheduler
+//! adaptive sparse/dense set representation, the per-destination network queues
 //! — not the paper's asymptotics, which Table 1 and the `tears_lemmas`
 //! scenario cover at their intended sizes. The `scale_baseline` bench
 //! binary runs this grid and records steps/sec and peak RSS in

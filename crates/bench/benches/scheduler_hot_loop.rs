@@ -1,9 +1,8 @@
 //! Scheduler hot loop — steps/sec of the simulation engine itself.
 //!
 //! Unlike the paper-artifact benches, this target measures the *engine*: how
-//! fast `Simulation` executes global time steps under the event-indexed
-//! network, independent of any particular protocol's asymptotics. Three
-//! groups:
+//! fast `Simulation` executes global time steps, independent of any
+//! particular protocol's asymptotics. Three groups:
 //!
 //! * `oblivious` — the common experiment hot loop (reference adversary,
 //!   chatter protocol, `d = 4`, `δ = 2`).

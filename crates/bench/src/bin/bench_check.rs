@@ -313,7 +313,7 @@ fn check_sweep(doc: &Json, checks: &mut Vec<Check>, fresh_lines: &mut String) {
 fn check_scale(doc: &Json, checks: &mut Vec<Check>, fresh_lines: &mut String) {
     // Only the smallest point of the scale grid is re-run here: the gate
     // must stay minutes-cheap, and a regression in the adaptive-set or
-    // sharded-scheduler hot paths shows up at n = 4 096 just as it would at
+    // network-queue hot paths shows up at n = 4 096 just as it would at
     // 65 536 (the committed larger rows are regenerated via the
     // `scale_baseline` binary when the trajectory is refreshed).
     let n = 4096usize;

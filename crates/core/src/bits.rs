@@ -122,7 +122,13 @@ impl WordSet {
     /// straight-line zip over two slices — no per-word bounds checks or
     /// growth branches — so it autovectorizes.
     pub(crate) fn or_words(&mut self, words: &[u64]) -> usize {
-        let words = trimmed(words);
+        // Zero tail words must not grow the set, and only an operand longer
+        // than the set can: it alone pays for `trimmed`'s walk from the tail.
+        let words = if words.len() > self.words.len() {
+            trimmed(words)
+        } else {
+            words
+        };
         self.ensure_words(words.len());
         let mut added = 0usize;
         for (own, &word) in self.words.iter_mut().zip(words) {
@@ -149,17 +155,30 @@ impl WordSet {
         added
     }
 
-    /// True if every index of `other` is in `self`.
+    /// True if every index of `other` is in `self`. One forward pass: the
+    /// shared prefix eight words at a time (one test per chunk, so the body
+    /// vectorizes), then whatever `other` holds beyond our storage must be
+    /// zero.
     pub(crate) fn is_superset_of(&self, other: &WordSet) -> bool {
-        let theirs = trimmed(&other.words);
-        // `trimmed` ends at the last non-zero word, so anything longer than
-        // our storage necessarily holds a bit we do not.
-        theirs.len() <= self.words.len()
-            && self
-                .words
+        let shared = self.words.len().min(other.words.len());
+        let (theirs, surplus) = other.words.split_at(shared);
+        let mut own_chunks = self.words[..shared].chunks_exact(8);
+        let mut their_chunks = theirs.chunks_exact(8);
+        for (own, their) in own_chunks.by_ref().zip(their_chunks.by_ref()) {
+            let miss = own
                 .iter()
-                .zip(theirs)
-                .all(|(&own, &word)| word & !own == 0)
+                .zip(their)
+                .fold(0, |miss, (a, b)| miss | (b & !a));
+            if miss != 0 {
+                return false;
+            }
+        }
+        own_chunks
+            .remainder()
+            .iter()
+            .zip(their_chunks.remainder())
+            .all(|(a, b)| b & !a == 0)
+            && surplus.iter().all(|&w| w == 0)
     }
 
     /// Iterates over the set indices in ascending order.
@@ -521,6 +540,63 @@ mod tests {
         assert_eq!(a.union(&b), 0);
         assert!(a.is_superset_of(&b));
         assert!(!b.is_superset_of(&a));
+    }
+
+    fn from_words(words: &[u64]) -> WordSet {
+        WordSet {
+            words: words.to_vec(),
+        }
+    }
+
+    #[test]
+    fn superset_compares_contents_whatever_the_lengths() {
+        // Lengths 0..=17 words hit every remainder of the 8-word chunks, on
+        // both sides of one and of two whole chunks.
+        for len in 0..=17usize {
+            let full = from_words(&vec![u64::MAX; len]);
+            let empty = from_words(&vec![0; len]);
+            assert!(full.is_superset_of(&full), "equal, {len} words");
+            assert!(full.is_superset_of(&empty));
+            assert!(empty.is_superset_of(&empty));
+            assert_eq!(empty.is_superset_of(&full), len == 0);
+            // One bit we lack, in each word position in turn.
+            for w in 0..len {
+                let mut words = vec![u64::MAX; len];
+                words[w] &= !(1 << (w % 64));
+                let holed = from_words(&words);
+                assert!(full.is_superset_of(&holed));
+                assert!(!holed.is_superset_of(&full), "hole in word {w} of {len}");
+            }
+            // The other side shorter: only its words count.
+            for shorter in 0..len {
+                let prefix = from_words(&vec![u64::MAX; shorter]);
+                assert!(full.is_superset_of(&prefix));
+                assert!(!prefix.is_superset_of(&full));
+            }
+            // The other side longer: a zero tail is capacity, a set tail is
+            // content.
+            for extra in 1..=9usize {
+                let mut words = vec![u64::MAX; len];
+                words.resize(len + extra, 0);
+                assert!(full.is_superset_of(&from_words(&words)), "zero tail");
+                words[len + extra - 1] = 1 << 40;
+                assert!(!full.is_superset_of(&from_words(&words)), "set tail");
+            }
+        }
+    }
+
+    #[test]
+    fn or_words_grows_to_the_last_set_word_only() {
+        let mut s = from_words(&[1, 0]);
+        // Not longer than the set: no growth, zero words add nothing.
+        assert_eq!(s.or_words(&[2, 0]), 1);
+        assert_eq!(s.words(), &[3, 0]);
+        // Longer with a zero tail: grows to the last non-zero word, exactly.
+        assert_eq!(s.or_words(&[0, 0, 4, 0, 0]), 1);
+        assert_eq!(s.words(), &[3, 0, 4]);
+        assert_eq!(s.words.capacity(), 3);
+        assert_eq!(s.or_words(&[0, 0, 0, 0]), 0);
+        assert_eq!(s.words().len(), 3);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!   uses). Both stepping modes share one zero-allocation step core, and
 //!   [`Simulation::run_until`] can optionally fast-forward over idle windows
 //!   (see [`SimConfig::idle_fast_forward`]).
-//! * [`Network`] — the in-flight buffer, deadline-indexed per destination so
-//!   delivery collection touches only due messages instead of scanning whole
-//!   queues.
+//! * [`Network`] — the in-flight buffer: per destination, the messages in
+//!   send order and their earliest deadline, so a destination with nothing
+//!   due is skipped and a due batch leaves in one pass.
 //! * [`adversary`] — the adversary trait plus a family of oblivious
 //!   schedule/delay/crash policies.
 //! * [`metrics`] — message, step, delay and quiescence accounting; these are

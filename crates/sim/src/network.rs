@@ -6,143 +6,64 @@
 //! recipient's local step. Messages addressed to crashed processes are
 //! discarded when the crash is observed.
 //!
-//! # Representation
-//!
-//! Each destination owns a [`BinaryHeap`] of in-flight messages keyed by
-//! `(deliverable_at, seq)`, where `seq` is a network-wide send sequence
-//! number. The heap top is therefore always the earliest-deadline message, so
-//!
-//! * [`Network::earliest_deliverable_for`] is O(1) (a peek), and
-//! * [`Network::collect_deliverable`] is O(delivered · log k) and returns
-//!   *immediately* — moving nothing — when the earliest deadline is still in
-//!   the future.
-//!
-//! Delivered batches are handed out in **send order** (ascending `seq`), which
-//! is exactly the order the historical `VecDeque`-scan implementation
-//! produced, so executions are bit-for-bit reproducible across the two
-//! representations (see `tests/network_differential.rs`).
-//!
-//! # Sharding
-//!
-//! The destination queues are additionally grouped into *shards* of
-//! [`SHARD_SIZE`] consecutive destinations. Each shard tracks its own
-//! in-flight count and a lazily recomputed cache of the earliest delivery
-//! deadline over its member queues, so the whole-network queries —
-//! [`Network::earliest_deliverable`] (the idle fast-forward target) and
-//! [`Network::all_beyond`] (quiescence under withheld messages) — cost
-//! O(shards) plus one O([`SHARD_SIZE`]) rescan per shard that changed since
-//! the last query, instead of peeking all `n` queues every time. At
-//! `n = 65 536` that turns a 65 536-peek scan into at most 1 024 cache
-//! reads. Shards are merged in ascending shard order, which is
-//! deterministic and — since `min` is order-insensitive — yields exactly
-//! the value the flat scan produced, so executions stay bit-for-bit
-//! identical (pinned by `tests/network_differential.rs` and the golden
-//! seeds in `tests/tests/seed_equivalence.rs`).
-
-use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Each destination owns one list of in-flight messages, appended in send
+//! order, and the earliest deadline among them. Sending is a push;
+//! [`Network::collect_deliverable_into`] returns at once while that earliest
+//! deadline is in the future, and otherwise makes one forward pass that moves
+//! the due messages out — already in send order — and closes the gaps:
+//! O([`Network::pending_for`]). The model bounds every delivery delay by `d`
+//! (the scheduler rejects anything else except a withheld message), so a
+//! message a pass keeps is due within `d` steps and is passed over at most
+//! that many times: collection is O(delivered) amortized. Withheld messages
+//! are never due; a queue holding nothing else is skipped by the
+//! earliest-deadline check.
 
 use crate::message::Envelope;
 use crate::process::ProcessId;
 use crate::time::TimeStep;
 
 /// A message waiting in the network together with the earliest time at which
-/// it may be delivered and its network-wide send sequence number.
+/// it may be delivered.
 #[derive(Debug, Clone)]
 struct InFlight<M> {
     envelope: Envelope<M>,
     /// The message becomes deliverable at any scheduled step of the recipient
     /// occurring at time `>= deliverable_at`.
     deliverable_at: TimeStep,
-    /// Position in the global send order; unique per network, used to break
-    /// deadline ties FIFO and to restore send order within a delivered batch.
-    seq: u64,
 }
 
-// The heap must order solely by (deliverable_at, seq) — payloads have no
-// ordering — and `BinaryHeap` is a max-heap, so the comparison is reversed to
-// put the earliest deadline on top. `seq` is unique, which makes the order
-// total and the `PartialEq` below consistent with it.
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl<M> Eq for InFlight<M> {}
-
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .deliverable_at
-            .cmp(&self.deliverable_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Destinations per scheduler shard: `1 << SHARD_SHIFT`.
-const SHARD_SHIFT: usize = 6;
-
-/// Number of consecutive destinations grouped under one shard (64): small
-/// enough that a stale shard's rescan is one cache line of heap tops, large
-/// enough that the shard directory at `n = 65 536` is only 1 024 entries.
-pub const SHARD_SIZE: usize = 1 << SHARD_SHIFT;
-
-/// Per-shard scheduling state: the in-flight count and the cached earliest
-/// delivery deadline over the shard's member queues.
-///
-/// The cache uses interior mutability (`Cell`) because the whole-network
-/// queries are `&self`; a shard is marked stale whenever one of its queues
-/// loses messages (delivery or crash-drop) and rescanned on the next query.
-/// Sends keep the cache exact directly (the minimum only decreases).
+/// The messages in flight to one destination.
 #[derive(Debug, Clone)]
-struct Shard {
-    in_flight: usize,
-    earliest: Cell<Option<TimeStep>>,
-    stale: Cell<bool>,
+struct Queue<M> {
+    /// In send order.
+    pending: Vec<InFlight<M>>,
+    /// The earliest deadline in `pending`; `None` when it is empty.
+    earliest: Option<TimeStep>,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            in_flight: 0,
-            earliest: Cell::new(None),
-            stale: Cell::new(false),
-        }
-    }
+/// `earliest` lowered to cover one more deadline.
+fn earliest_with(earliest: Option<TimeStep>, deadline: TimeStep) -> Option<TimeStep> {
+    Some(earliest.map_or(deadline, |e| e.min(deadline)))
 }
 
-/// The network: a per-destination deadline-indexed queue of in-flight
-/// messages, grouped into shards of [`SHARD_SIZE`] destinations for the
-/// whole-network queries (see the module docs).
+/// The network: per destination, the in-flight messages in send order (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct Network<M> {
-    queues: Vec<BinaryHeap<InFlight<M>>>,
-    shards: Vec<Shard>,
+    queues: Vec<Queue<M>>,
     in_flight: usize,
-    next_seq: u64,
-    /// Scratch space for popped messages while a delivered batch is being
-    /// restored to send order; kept here so steady-state collection does not
-    /// allocate.
-    scratch: Vec<InFlight<M>>,
 }
 
 impl<M> Network<M> {
     /// Creates an empty network for a system of `n` processes.
     pub fn new(n: usize) -> Self {
+        let queues = (0..n).map(|_| Queue {
+            pending: Vec::new(),
+            earliest: None,
+        });
         Network {
-            queues: (0..n).map(|_| BinaryHeap::new()).collect(),
-            shards: (0..n.div_ceil(SHARD_SIZE)).map(|_| Shard::new()).collect(),
+            queues: queues.collect(),
             in_flight: 0,
-            next_seq: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -162,24 +83,13 @@ impl<M> Network<M> {
         let deliverable_at = envelope.sent_at.after(delay);
         let to = envelope.to.index();
         debug_assert!(to < self.queues.len(), "destination out of range");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queues[to].push(InFlight {
+        let queue = &mut self.queues[to];
+        queue.earliest = earliest_with(queue.earliest, deliverable_at);
+        queue.pending.push(InFlight {
             envelope,
             deliverable_at,
-            seq,
         });
         self.in_flight += 1;
-        let shard = &mut self.shards[to >> SHARD_SHIFT];
-        shard.in_flight += 1;
-        if !shard.stale.get() {
-            // The cache is exact; a send can only lower the minimum.
-            let earliest = shard
-                .earliest
-                .get()
-                .map_or(deliverable_at, |e| e.min(deliverable_at));
-            shard.earliest.set(Some(earliest));
-        }
     }
 
     /// Removes and returns every message addressed to `to` whose delivery
@@ -205,37 +115,31 @@ impl<M> Network<M> {
         out: &mut Vec<Envelope<M>>,
     ) {
         let queue = &mut self.queues[to.index()];
-        match queue.peek() {
-            Some(m) if m.deliverable_at <= now => {}
-            _ => return,
+        if queue.earliest.is_none_or(|e| e > now) {
+            return;
         }
-        debug_assert!(self.scratch.is_empty());
-        while queue.peek().is_some_and(|m| m.deliverable_at <= now) {
-            let Some(m) = queue.pop() else { break };
-            self.scratch.push(m);
-        }
-        self.in_flight -= self.scratch.len();
-        let shard = &mut self.shards[to.index() >> SHARD_SHIFT];
-        shard.in_flight -= self.scratch.len();
-        shard.stale.set(true);
-        // Heap order is (deadline, seq); the historical contract is send
-        // order across the whole batch, i.e. ascending seq.
-        self.scratch.sort_unstable_by_key(|m| m.seq);
-        out.extend(self.scratch.drain(..).map(|m| m.envelope));
+        let before = queue.pending.len();
+        let mut earliest = None;
+        let due = queue.pending.extract_if(.., |m| {
+            let due = m.deliverable_at <= now;
+            if !due {
+                earliest = earliest_with(earliest, m.deliverable_at);
+            }
+            due
+        });
+        out.extend(due.map(|m| m.envelope));
+        queue.earliest = earliest;
+        self.in_flight -= before - queue.pending.len();
     }
 
     /// Discards every message addressed to `to` (used when `to` crashes).
     /// Returns the number of messages dropped.
     pub fn drop_for(&mut self, to: ProcessId) -> usize {
         let queue = &mut self.queues[to.index()];
-        let dropped = queue.len();
-        queue.clear();
+        let dropped = queue.pending.len();
+        queue.pending.clear();
+        queue.earliest = None;
         self.in_flight -= dropped;
-        if dropped > 0 {
-            let shard = &mut self.shards[to.index() >> SHARD_SHIFT];
-            shard.in_flight -= dropped;
-            shard.stale.set(true);
-        }
         dropped
     }
 
@@ -246,49 +150,22 @@ impl<M> Network<M> {
 
     /// Number of messages currently queued for `to`.
     pub fn pending_for(&self, to: ProcessId) -> usize {
-        self.queues[to.index()].len()
+        self.queues[to.index()].pending.len()
     }
 
     /// Earliest time at which any message queued for `to` becomes
     /// deliverable, or `None` if the queue is empty. O(1).
     pub fn earliest_deliverable_for(&self, to: ProcessId) -> Option<TimeStep> {
-        self.queues[to.index()].peek().map(|m| m.deliverable_at)
-    }
-
-    /// The cached earliest deadline of shard `s`, rescanning its member
-    /// queues first if the shard changed since the last query.
-    fn shard_earliest(&self, s: usize) -> Option<TimeStep> {
-        let shard = &self.shards[s];
-        if shard.in_flight == 0 {
-            shard.earliest.set(None);
-            shard.stale.set(false);
-            return None;
-        }
-        if shard.stale.get() {
-            let lo = s << SHARD_SHIFT;
-            let hi = ((s + 1) << SHARD_SHIFT).min(self.queues.len());
-            let earliest = self.queues[lo..hi]
-                .iter()
-                .filter_map(|q| q.peek().map(|m| m.deliverable_at))
-                .min();
-            shard.earliest.set(earliest);
-            shard.stale.set(false);
-        }
-        shard.earliest.get()
+        self.queues[to.index()].earliest
     }
 
     /// Earliest time at which any in-flight message (to any destination)
-    /// becomes deliverable, or `None` if the network is empty. Merges the
-    /// per-shard cached deadlines in ascending shard order: O(shards) cache
-    /// reads plus one member rescan per shard that changed since the last
-    /// query (`min` is order-insensitive, so the result is exactly what the
-    /// historical flat scan over all `n` queues produced).
+    /// becomes deliverable, or `None` if the network is empty: the minimum
+    /// over the `n` per-destination deadlines.
     ///
     /// This is what the scheduler's idle fast-forward jumps to.
     pub fn earliest_deliverable(&self) -> Option<TimeStep> {
-        (0..self.shards.len())
-            .filter_map(|s| self.shard_earliest(s))
-            .min()
+        self.queues.iter().filter_map(|q| q.earliest).min()
     }
 
     /// True if no message is in flight to any destination.
@@ -297,10 +174,9 @@ impl<M> Network<M> {
     }
 
     /// Iterates over the messages currently queued for `to` (regardless of
-    /// delivery deadline), without removing them. Iteration order is
-    /// unspecified; use [`Self::clone_pending_for`] for send order.
+    /// delivery deadline) in send order, without removing them.
     pub fn iter_for(&self, to: ProcessId) -> impl Iterator<Item = &Envelope<M>> {
-        self.queues[to.index()].iter().map(|m| &m.envelope)
+        self.queues[to.index()].pending.iter().map(|m| &m.envelope)
     }
 
     /// Clones every message currently queued for `to`, in send order.
@@ -308,21 +184,15 @@ impl<M> Network<M> {
     where
         M: Clone,
     {
-        let mut pending: Vec<(u64, &Envelope<M>)> = self.queues[to.index()]
-            .iter()
-            .map(|m| (m.seq, &m.envelope))
-            .collect();
-        pending.sort_unstable_by_key(|(seq, _)| *seq);
-        pending.into_iter().map(|(_, env)| env.clone()).collect()
+        self.iter_for(to).cloned().collect()
     }
 
     /// True if every in-flight message has a delivery deadline of
     /// `u64::MAX`-like magnitude, i.e. has been withheld "forever" relative
     /// to `horizon`. Used by drivers that want to treat permanently withheld
-    /// messages as drained. O(shards) via the per-shard deadline caches:
-    /// only a shard's earliest deadline needs inspecting.
+    /// messages as drained.
     pub fn all_beyond(&self, horizon: TimeStep) -> bool {
-        (0..self.shards.len()).all(|s| self.shard_earliest(s).is_none_or(|e| e > horizon))
+        self.earliest_deliverable().is_none_or(|e| e > horizon)
     }
 }
 
@@ -471,31 +341,30 @@ mod tests {
     }
 
     #[test]
-    fn shard_caches_track_sends_collections_and_drops() {
-        // Destinations straddling a shard boundary, so the global queries
-        // merge more than one shard's cache.
-        let n = SHARD_SIZE * 2 + 3;
+    fn network_wide_earliest_tracks_sends_collections_and_drops() {
+        // Destinations far apart in a network of more than 128 queues, so
+        // the network-wide minimum runs over many empty queues too.
+        let n = 131;
         let mut net: Network<u32> = Network::new(n);
-        let near = ProcessId(1); // shard 0
-        let far = ProcessId(SHARD_SIZE + 1); // shard 1
-        let edge = ProcessId(2 * SHARD_SIZE); // shard 2 (partial)
+        let near = ProcessId(1);
+        let far = ProcessId(65);
+        let edge = ProcessId(128);
         net.send(env(0, near.index(), 0, 1), 9);
         net.send(env(0, far.index(), 0, 2), 3);
         net.send(env(0, edge.index(), 0, 3), 5);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(3)));
-        // Delivering the earliest message must advance the merged minimum
-        // (the shard cache is stale after the pop and gets rescanned).
+        // Delivering the earliest message must advance the minimum.
         assert_eq!(net.collect_deliverable(far, TimeStep(3)).len(), 1);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(5)));
         assert!(net.all_beyond(TimeStep(4)));
         assert!(!net.all_beyond(TimeStep(5)));
-        // A crash-drop empties its shard; the remaining message wins.
+        // A crash-drop empties its queue; the remaining message wins.
         assert_eq!(net.drop_for(edge), 1);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(9)));
         assert_eq!(net.drop_for(near), 1);
         assert_eq!(net.earliest_deliverable(), None);
         assert!(net.is_empty());
-        // A send after the caches went empty repopulates them exactly.
+        // A send into an emptied queue sets its deadline afresh.
         net.send(env(0, far.index(), 10, 4), 2);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(12)));
     }

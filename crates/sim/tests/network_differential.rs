@@ -1,14 +1,17 @@
 //! Differential tests against the historical `VecDeque`-scan network.
 //!
-//! The deadline-indexed [`Network`] replaced a per-destination `VecDeque`
-//! that was popped and rebuilt on every collection. These tests keep that
-//! seed implementation alive as an executable model and check, across random
-//! schedules, delays, crashes, and withheld messages, that the new engine
-//! produces **identical** behaviour:
+//! The seed's network was a per-destination `VecDeque` popped and rebuilt on
+//! every collection. These tests keep that implementation alive as an
+//! executable model and check, across random schedules, delays, crashes, and
+//! withheld messages, that [`Network`] produces **identical** behaviour:
 //!
 //! * `network_matches_reference_model` drives the network and the model
 //!   through the same operation sequence and compares every delivered batch
 //!   (content *and* order), plus every observable query.
+//! * `earliest_is_exact_after_every_partial_collection` and
+//!   `long_unscheduled_destination_gets_one_batch_in_send_order` aim the same
+//!   comparison at the two cases a collection pass must get right: keeping
+//!   some messages while taking others, and a batch spanning many deadlines.
 //! * `simulation_matches_reference_stepper` replays the seed's whole step
 //!   body (crash → deliver → compute → send, `VecDeque` network and all) for
 //!   a deterministic request/reply protocol and compares the envelope
@@ -43,6 +46,17 @@ impl Prng {
     fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
+}
+
+/// `default` cases per property, or `PROPTEST_CASES` when it is set: the
+/// nightly Miri job runs this file on a handful of cases, the interpreter
+/// being some hundred times slower.
+fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
 }
 
 // ---------------------------------------------------------------------------
@@ -109,7 +123,7 @@ impl<M> ReferenceNetwork<M> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Same operation sequence in, same observations out — including the
     /// order of every delivered batch.
@@ -121,10 +135,8 @@ proptest! {
         ops in 20usize..160,
         scenario in 0u64..1_000_000,
     ) {
-        // Half the cases use a universe spanning several scheduler shards
-        // (64 destinations each), so the shard-cache merge in
-        // `earliest_deliverable`/`all_beyond` is exercised across
-        // boundaries, not just within shard 0.
+        // Half the cases use a wide universe, so `earliest_deliverable` and
+        // `all_beyond` take their minimum over mostly empty queues.
         let n = if wide { n_base * 24 } else { n_base };
         let mut prng = Prng(scenario);
         let mut network: Network<u64> = Network::new(n);
@@ -190,7 +202,7 @@ proptest! {
             prop_assert_eq!(
                 network.earliest_deliverable(),
                 model.earliest_deliverable(),
-                "shard-merged earliest deadline diverged"
+                "network-wide earliest deadline diverged"
             );
         }
 
@@ -204,6 +216,98 @@ proptest! {
         }
         prop_assert_eq!(network.in_flight(), model.in_flight);
     }
+}
+
+/// Withheld and due traffic interleaved on one destination: a collection
+/// that takes some messages and keeps others must leave the destination's
+/// earliest deadline exact, whichever of the two kinds it kept.
+#[test]
+fn earliest_is_exact_after_every_partial_collection() {
+    let to = ProcessId(1);
+    for seed in 0..32 {
+        let mut prng = Prng(seed);
+        let d = 1 + prng.below(6);
+        let mut network: Network<u64> = Network::new(2);
+        let mut model: ReferenceNetwork<u64> = ReferenceNetwork::new(2);
+        let mut next_payload = 0u64;
+        let mut partial_collections = 0;
+        for t in 0..200 {
+            let now = TimeStep(t);
+            for _ in 0..prng.below(4) {
+                let delay = if prng.chance(30) {
+                    u64::MAX
+                } else {
+                    1 + prng.below(d)
+                };
+                let env = Envelope {
+                    from: ProcessId(0),
+                    to,
+                    sent_at: now,
+                    payload: next_payload,
+                };
+                next_payload += 1;
+                network.send(env.clone(), delay);
+                model.send(env, delay);
+            }
+            if prng.chance(60) {
+                let got = network.collect_deliverable(to, now);
+                if !got.is_empty() && network.pending_for(to) > 0 {
+                    partial_collections += 1;
+                }
+                assert_eq!(got, model.collect_deliverable(to, now));
+            }
+            assert_eq!(
+                network.earliest_deliverable_for(to),
+                model.earliest_deliverable_for(to),
+                "seed {seed}, t{t}"
+            );
+            assert_eq!(network.earliest_deliverable(), model.earliest_deliverable());
+            assert_eq!(network.all_beyond(now), model.all_beyond(now));
+        }
+        assert!(partial_collections > 20, "seed {seed} must mix the two");
+    }
+}
+
+/// A destination the adversary leaves unscheduled for more than 2d steps
+/// while traffic keeps arriving: its one eventual batch spans many deadlines
+/// (out of order within each step) and must still come out in send order,
+/// with the withheld messages left behind.
+#[test]
+fn long_unscheduled_destination_gets_one_batch_in_send_order() {
+    let d = 4u64;
+    let to = ProcessId(0);
+    let mut network: Network<u64> = Network::new(3);
+    let mut model: ReferenceNetwork<u64> = ReferenceNetwork::new(3);
+    let mut due = Vec::new();
+    let mut payload = 0u64;
+    for t in 0..3 * d {
+        // Deadlines t+d, t+d-1, .., t+1, then one withheld message.
+        for delay in (1..=d).rev().chain([u64::MAX]) {
+            let env = Envelope {
+                from: ProcessId(1 + (payload % 2) as usize),
+                to,
+                sent_at: TimeStep(t),
+                payload,
+            };
+            if delay != u64::MAX {
+                due.push(payload);
+            }
+            payload += 1;
+            network.send(env.clone(), delay);
+            model.send(env, delay);
+        }
+    }
+    assert_eq!(network.earliest_deliverable_for(to), Some(TimeStep(1)));
+    let now = TimeStep(4 * d);
+    let got = network.collect_deliverable(to, now);
+    assert_eq!(got, model.collect_deliverable(to, now));
+    assert_eq!(got.iter().map(|e| e.payload).collect::<Vec<_>>(), due);
+    assert_eq!(network.pending_for(to), 3 * d as usize);
+    assert_eq!(
+        network.earliest_deliverable_for(to),
+        Some(TimeStep(u64::MAX))
+    );
+    assert!(network.all_beyond(now));
 }
 
 // ---------------------------------------------------------------------------
@@ -481,7 +585,7 @@ fn run_reference(scenario: &Scenario) -> Observed {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases(48))]
 
     /// The rebuilt stepping core is observationally identical to the seed
     /// step body: same envelope sequence at every process, same quiescence

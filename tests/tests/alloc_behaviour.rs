@@ -42,7 +42,7 @@ use agossip_core::{
     SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
 };
 use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Threading};
-use agossip_sim::{ProcessId, SimConfig};
+use agossip_sim::{Envelope, Network, ProcessId, SimConfig, TimeStep};
 
 /// Forwards to the system allocator, counting every allocation call and the
 /// bytes it requested.
@@ -196,6 +196,35 @@ fn tears_n128_trial_allocates_nothing_per_deliver() {
         "a tears n=128 trial should allocate O(n + broadcasts), nothing per \
          deliver: {trial} allocations for {messages} messages"
     );
+}
+
+#[test]
+fn partial_network_collection_allocates_nothing_beyond_out() {
+    // The in-place pin: a collection moves the due envelopes into `out` and
+    // closes the gaps they leave in the destination's list — no side buffer,
+    // no rebuilt queue. So with room in `out`, a pass that takes every other
+    // message and keeps the rest allocates exactly nothing.
+    let to = ProcessId(1);
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let mut network: Network<u64> = Network::new(2);
+    for payload in 0..1024u64 {
+        let env = Envelope {
+            from: ProcessId(0),
+            to,
+            sent_at: TimeStep::ZERO,
+            payload,
+        };
+        network.send(env, 1 + payload % 2);
+    }
+    let mut out = Vec::with_capacity(512);
+    let before = THREAD_ALLOCATIONS.get();
+    network.collect_deliverable_into(to, TimeStep(1), &mut out);
+    let during = THREAD_ALLOCATIONS.get() - before;
+    drop(window);
+
+    assert_eq!(out.len(), 512);
+    assert_eq!(network.pending_for(to), 512);
+    assert_eq!(during, 0, "a partial collection must not allocate");
 }
 
 #[test]
