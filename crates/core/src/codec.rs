@@ -38,6 +38,32 @@
 //! Both bounds are pinned by unit tests here and by the round-trip property
 //! tests in `tests/tests/props_codec.rs`.
 //!
+//! ## How a varint is read
+//!
+//! A dense `tears` frame is a few hundred bitmap bytes followed by a
+//! thousand payload varints, so on the live runtime the cost of the protocol
+//! is [`read_varint`]. It decides in three tiers:
+//!
+//! 1. **one or two bytes**, inlined into the caller's loop — every
+//!    identifier and every identity payload below 2¹⁴;
+//! 2. **up to ten bytes, a word at a time**, out of line: load eight bytes,
+//!    find the terminator as the lowest clear bit of `!word & 0x8080…80`,
+//!    mask off what the load read past it, and squeeze the eight 7-bit
+//!    groups together in three shift-and-mask steps; a ninth and tenth byte
+//!    are added by hand, without branching on which of them ends the varint
+//!    (a random `u64` payload is nine or ten bytes with equal odds);
+//! 3. **the byte loop** — one byte at a time with the overflow test on each.
+//!
+//! Tiers 1 and 2 only ever *accept*. Whatever they cannot — fewer than eight
+//! (or ten) bytes left in the input, a tenth byte with more than bit 63 in
+//! it, an eleventh byte — falls through to tier 3, which is the reader this
+//! module has always had. That is why it stays: [`CodecError::Truncated`] and
+//! [`CodecError::VarintOverflow`], and which of the two wins on an input
+//! that is both, have one source, and the unit tests below and the proptest
+//! in `tests/tests/props_codec.rs` hold the fast tiers equal to it — value,
+//! bytes consumed, error — on every two-byte prefix, every length and
+//! boundary, every truncation, and arbitrary bytes.
+//!
 //! ## Robustness
 //!
 //! [`WireCodec::decode`] never panics: truncated, bit-flipped or otherwise
@@ -140,7 +166,69 @@ pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
 
 /// Reads a LEB128 varint from the front of `bytes`, returning the value and
 /// the number of bytes consumed.
+///
+/// One- and two-byte varints (every identifier and every identity payload
+/// below 2¹⁴) are decided here, inlined into the caller's loop; anything
+/// longer goes out of line (see "How a varint is read" in the module docs).
+#[inline]
 pub fn read_varint(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
+    match *bytes {
+        [a, ..] if a < 0x80 => Ok((u64::from(a), 1)),
+        [a, b, ..] if b < 0x80 => Ok((u64::from(a & 0x7f) | u64::from(b) << 7, 2)),
+        _ => read_varint_word(bytes),
+    }
+}
+
+/// Bit 7 of every byte of a little-endian word: the LEB128 continuation flags.
+const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The word-at-a-time path: a varint of up to ten bytes with at least eight
+/// input bytes to load. It only ever *accepts*; whatever it cannot accept is
+/// handed to [`read_varint_bytewise`].
+#[inline(never)]
+fn read_varint_word(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
+    let Some(head) = bytes.first_chunk::<8>() else {
+        return read_varint_bytewise(bytes);
+    };
+    let word = u64::from_le_bytes(*head);
+    let stops = !word & CONTINUATION_BITS;
+    if stops != 0 {
+        // The lowest clear flag marks the terminator; keep the bytes up to
+        // and including it (the word load read past the varint's end).
+        // lint:allow(no-unchecked-narrowing): trailing_zeros is at most 63, so the length is at most 8
+        let len = (stops.trailing_zeros() as usize + 1) / 8;
+        return Ok((squeeze_groups(word & (stops ^ (stops - 1))), len));
+    }
+    // Eight continuation bytes: the ninth and tenth by hand, without a
+    // branch on which of them terminates (a random u64 is nine or ten bytes
+    // with equal odds). The tenth byte counts only if the ninth continues,
+    // and may then hold bit 63 alone.
+    let Some(&[ninth, tenth]) = bytes.get(8..10) else {
+        return read_varint_bytewise(bytes);
+    };
+    let continues = ninth >> 7;
+    let tenth = tenth & continues.wrapping_neg();
+    if tenth > 1 {
+        return read_varint_bytewise(bytes);
+    }
+    let value = squeeze_groups(word) | u64::from(ninth & 0x7f) << 56 | u64::from(tenth) << 63;
+    Ok((value, 9 + usize::from(continues)))
+}
+
+/// Drops the continuation flag of each of the eight bytes of `word` and
+/// packs the eight 7-bit groups into the low 56 bits: pairs of bytes into
+/// 14-bit groups, pairs of those into 28-bit groups, then the two halves.
+#[inline]
+fn squeeze_groups(word: u64) -> u64 {
+    let x = word & !CONTINUATION_BITS;
+    let x = (x & 0x007f_007f_007f_007f) | (x & 0x7f00_7f00_7f00_7f00) >> 1;
+    let x = (x & 0x0000_3fff_0000_3fff) | (x & 0x3fff_0000_3fff_0000) >> 2;
+    (x & 0x0000_0000_0fff_ffff) | (x & 0x0fff_ffff_0000_0000) >> 4
+}
+
+/// The reference reader, and the only source of `Truncated` /
+/// `VarintOverflow`: one byte at a time, with the overflow test on each.
+fn read_varint_bytewise(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in bytes.iter().enumerate() {
@@ -219,8 +307,10 @@ impl<'a> Reader<'a> {
         Ok(byte)
     }
 
+    #[inline]
     pub(crate) fn varint(&mut self) -> Result<u64, CodecError> {
-        let (value, used) = read_varint(&self.bytes[self.pos..])?;
+        let rest = self.bytes.get(self.pos..).ok_or(CodecError::Truncated)?;
+        let (value, used) = read_varint(rest)?;
         self.pos += used;
         Ok(value)
     }
@@ -601,6 +691,89 @@ mod tests {
         assert_eq!(read_varint(&[0x80]), Err(CodecError::Truncated));
         // An 11-byte continuation chain overflows u64.
         assert_eq!(read_varint(&[0xff; 11]), Err(CodecError::VarintOverflow));
+    }
+
+    /// Asserts the fast paths agree with the byte loop — value, bytes
+    /// consumed and error variant — on every prefix of `input` (each
+    /// truncation) and on `input` followed by tails that arm the word path.
+    fn assert_matches_bytewise(input: &[u8]) {
+        for cut in 0..=input.len() {
+            let prefix = &input[..cut];
+            assert_eq!(
+                read_varint(prefix),
+                read_varint_bytewise(prefix),
+                "{prefix:02x?}"
+            );
+        }
+        for tail in [0x00u8, 0x7f, 0x80, 0xff] {
+            // `input` (at most 11 bytes) followed by nine tail bytes.
+            let mut buf = [tail; 20];
+            buf[..input.len()].copy_from_slice(input);
+            let extended = &buf[..input.len() + 9];
+            assert_eq!(
+                read_varint(extended),
+                read_varint_bytewise(extended),
+                "{extended:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_two_byte_prefix_reads_like_the_byte_loop() {
+        for a in 0..=u8::MAX {
+            for b in 0..=u8::MAX {
+                assert_matches_bytewise(&[a, b]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_length_and_boundary_reads_like_the_byte_loop() {
+        // 2^7k − 1 and 2^7k sit either side of every length boundary.
+        let mut values = vec![0u64, u64::MAX];
+        for k in 1..=9u32 {
+            values.extend([(1u64 << (7 * k)) - 1, 1u64 << (7 * k)]);
+        }
+        for &value in &values {
+            let mut canonical = Vec::new();
+            write_varint(&mut canonical, value);
+            assert_eq!(read_varint(&canonical), Ok((value, canonical.len())));
+            assert_matches_bytewise(&canonical);
+            // Non-canonical: the same value zero-padded out to every length
+            // up to 11 bytes (ten still decodes, eleven overflows).
+            for total in canonical.len() + 1..=11 {
+                let mut padded = canonical.clone();
+                *padded.last_mut().unwrap() |= 0x80;
+                padded.resize(total - 1, 0x80);
+                padded.push(0x00);
+                if total <= 10 {
+                    assert_eq!(read_varint(&padded), Ok((value, total)));
+                }
+                assert_matches_bytewise(&padded);
+            }
+        }
+        // The tenth byte may hold bit 63 alone: anything else overflows,
+        // and a continuing tenth byte overflows or truncates on the next.
+        for lead in [0x80u8, 0xaa, 0xff] {
+            for tenth in [0x00u8, 0x01, 0x02, 0x7f, 0x80, 0x81, 0xff] {
+                let mut input = vec![lead; 9];
+                input.push(tenth);
+                assert_matches_bytewise(&input);
+                for eleventh in [0x00u8, 0x01, 0x80] {
+                    input.push(eleventh);
+                    assert_matches_bytewise(&input);
+                    input.pop();
+                }
+            }
+        }
+        assert_eq!(
+            read_varint(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]),
+            Err(CodecError::VarintOverflow)
+        );
+        assert_eq!(
+            read_varint(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81]),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

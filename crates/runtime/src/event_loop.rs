@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use agossip_core::codec::{read_varint, write_varint};
-use agossip_core::{EncodedFrame, GossipEngine, WireCodec, WireDecodeView};
+use agossip_core::{CodecError, EncodedFrame, GossipEngine, WireCodec, WireDecodeView};
 use agossip_sim::rng::{derive_seed, RngStream};
 use agossip_sim::ProcessId;
 
@@ -406,22 +406,20 @@ where
 /// [`GossipEngine::deliver_encoded`] walks them exactly once — an
 /// undecodable body is counted as a decode error there, with the same
 /// totals as when polling validated eagerly.
-pub(crate) fn parse_lockstep_frame(
-    frame: &RawFrame,
-) -> Result<(u64, u64, usize), agossip_core::CodecError> {
+pub(crate) fn parse_lockstep_frame(frame: &RawFrame) -> Result<(u64, u64, usize), CodecError> {
     let head = frame.head();
     let body = frame.body();
     if head.is_empty() {
         // Stream-framed payload: the tick/seq stamp is inline in the body.
         let (deliver_tick, a) = read_varint(body)?;
-        let (seq, b) = read_varint(&body[a..])?;
+        let (seq, b) = read_varint(body.get(a..).ok_or(CodecError::Truncated)?)?;
         Ok((deliver_tick, seq, a + b))
     } else {
         // Shared-body fast path: the head carries exactly the two varints.
         let (deliver_tick, a) = read_varint(head)?;
-        let (seq, b) = read_varint(&head[a..])?;
+        let (seq, b) = read_varint(head.get(a..).ok_or(CodecError::Truncated)?)?;
         if a + b != head.len() {
-            return Err(agossip_core::CodecError::TrailingBytes(head.len() - a - b));
+            return Err(CodecError::TrailingBytes(head.len() - a - b));
         }
         Ok((deliver_tick, seq, 0))
     }

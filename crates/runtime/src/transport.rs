@@ -247,7 +247,12 @@ pub struct ChannelTransport;
 /// Endpoint of the [`ChannelTransport`].
 pub struct ChannelEndpoint {
     pid: ProcessId,
-    peers: Vec<Sender<RawFrame>>,
+    /// One sender per process, shared by every endpoint of the clique: a
+    /// table per endpoint would be n² handles. A crashed process is still
+    /// detected by its dropped [`Receiver`]; that the shared table outlives
+    /// it only means its own queue never reports `Disconnected`, which
+    /// `poll_into` treats like `Empty` anyway.
+    peers: Arc<[Sender<RawFrame>]>,
     rx: Receiver<RawFrame>,
 }
 
@@ -308,12 +313,13 @@ impl Transport for ChannelTransport {
 
     fn open(&self, n: usize) -> Result<Vec<ChannelEndpoint>, RuntimeError> {
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let peers: Arc<[Sender<RawFrame>]> = senders.into();
         Ok(receivers
             .into_iter()
             .enumerate()
             .map(|(i, rx)| ChannelEndpoint {
                 pid: ProcessId(i),
-                peers: senders.clone(),
+                peers: Arc::clone(&peers),
                 rx,
             })
             .collect())
@@ -488,7 +494,7 @@ impl FrameBuf {
             Err(CodecError::Truncated) if self.data.len() < 20 => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let (len, len_len) = match read_varint(&self.scratch[from_len..]) {
+        let (len, len_len) = match read_varint(self.scratch.get(from_len..).unwrap_or(&[])) {
             Ok(v) => v,
             Err(CodecError::Truncated) if self.data.len() < 20 => return Ok(None),
             Err(e) => return Err(e.into()),

@@ -41,7 +41,7 @@ use agossip_core::{
     run_gossip, run_service_sim, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet,
     SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
 };
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Threading};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Threading, Transport};
 use agossip_sim::{Envelope, Network, ProcessId, SimConfig, TimeStep};
 
 /// Forwards to the system allocator, counting every allocation call and the
@@ -280,6 +280,33 @@ fn reactor_lockstep_run_allocates_amortized_zero_per_frame() {
         during < frames / 2,
         "a reactor lockstep run should allocate O(n + broadcasts), not \
          O(frames): {during} allocations for {frames} frames"
+    );
+}
+
+#[test]
+fn channel_mesh_holds_o_n_live_bytes_not_n_squared() {
+    // The clique is n queues plus ONE table of n senders shared by every
+    // endpoint. A table per endpoint is n² handles — 8 MiB at n = 1 024,
+    // 128 MiB of the live n = 4 096 run's peak RSS — for nothing: every
+    // table holds the same n senders.
+    const N: usize = 1024;
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let floor = LIVE_BYTES.load(Ordering::Relaxed);
+    let endpoints = ChannelTransport.open(N).unwrap();
+    let held = LIVE_BYTES.load(Ordering::Relaxed) - floor;
+    drop(window);
+
+    assert_eq!(endpoints.len(), N);
+    eprintln!("live bytes held by a {N}-endpoint channel mesh: {held}");
+
+    // Measured: 120 bytes per process (queue, counters, table slot,
+    // endpoint). 1 KiB each leaves room for what other tests allocate
+    // outside their windows and still sits 8× below the per-endpoint tables.
+    assert!(
+        held < (N * 1024) as i64,
+        "opening {N} channel endpoints must hold O(n) bytes, got {held} \
+         (a sender table per endpoint is {} bytes)",
+        N * N * 8
     );
 }
 

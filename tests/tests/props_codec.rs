@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use agossip_core::codec::{MAX_BYTES_PER_UNIT, MAX_UNITS_PER_BYTE};
+use agossip_core::codec::{read_varint, MAX_BYTES_PER_UNIT, MAX_UNITS_PER_BYTE};
 use agossip_core::informed_list::InformedList;
 use agossip_core::tears::TearsFlag;
 use agossip_core::{
@@ -18,18 +18,50 @@ use agossip_core::{
 };
 use agossip_sim::ProcessId;
 
-/// System sizes from degenerate to several bitmap words.
+/// System sizes from degenerate to several bitmap words; one case in four
+/// up to 16 384, and one in four beyond it, where an identifier or identity
+/// payload takes three varint bytes.
 fn n_strategy() -> impl Strategy<Value = usize> {
-    1..300usize
+    (0..4u8, 1..300usize, 300..16_384usize, 16_384..20_000usize).prop_map(
+        |(pick, small, medium, large)| match pick {
+            0 => large,
+            1 => medium,
+            _ => small,
+        },
+    )
 }
 
-fn rumor_set_strategy(n: usize) -> impl Strategy<Value = RumorSet> {
+/// Up to 40 rumors with payloads from the whole `u64` range (mostly nine-
+/// and ten-byte varints): sparse on the wire unless `n` is small.
+fn scattered_set_strategy(n: usize) -> impl Strategy<Value = RumorSet> {
     prop::collection::vec((0..n, any::<u64>()), 0..40).prop_map(|entries| {
         entries
             .into_iter()
             .map(|(origin, payload)| Rumor::new(ProcessId(origin), payload))
             .collect()
     })
+}
+
+/// Payload = origin — what plain gossip ships, and the only shape that takes
+/// the identity paths of the view and the union — on every `stride`-th
+/// origin from `start` to the top of the universe, so the section is dense
+/// on the wire at any `n` unless `start` is close to `n`.
+fn identity_set_strategy(n: usize) -> impl Strategy<Value = RumorSet> {
+    (0..n, 1..4usize).prop_map(move |(start, stride)| {
+        (start..n)
+            .step_by(stride)
+            .map(|origin| Rumor::new(ProcessId(origin), origin as u64))
+            .collect()
+    })
+}
+
+fn rumor_set_strategy(n: usize) -> impl Strategy<Value = RumorSet> {
+    (
+        any::<bool>(),
+        scattered_set_strategy(n),
+        identity_set_strategy(n),
+    )
+        .prop_map(|(identity, scattered, dense)| if identity { dense } else { scattered })
 }
 
 fn informed_strategy(n: usize) -> impl Strategy<Value = InformedList> {
@@ -296,6 +328,57 @@ proptest! {
                 Err(CodecError::BadKind(_))
             ));
         }
+    }
+}
+
+/// `default` cases per property, or `PROPTEST_CASES` when it is set (the
+/// nightly Miri job runs the varint differential on a handful of cases).
+fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
+/// LEB128 one byte at a time with the overflow test on each: the reader the
+/// codec had before its word-at-a-time paths, kept here as the oracle.
+fn read_varint_oracle(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
+    let mut value = 0u64;
+    let mut shift = 0u32;
+    for (i, &byte) in bytes.iter().enumerate() {
+        if shift >= 64 || (shift == 63 && byte & 0x7e != 0) {
+            return Err(CodecError::VarintOverflow);
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok((value, i + 1));
+        }
+        shift += 7;
+    }
+    Err(CodecError::Truncated)
+}
+
+proptest! {
+    #![proptest_config(cases(2048))]
+
+    /// Differential: `read_varint` returns the oracle's value, length and
+    /// error variant on arbitrary bytes. `continuing` of the first 0–12
+    /// bytes are forced to continue so long chains are as common as short
+    /// ones, and an arbitrary tail follows because the word path loads eight
+    /// bytes whatever the varint's length.
+    #[test]
+    fn varint_reader_equals_the_byte_loop(
+        head in prop::collection::vec(any::<u8>(), 0..13),
+        continuing in 0..13usize,
+        tail in prop::collection::vec(any::<u8>(), 0..12),
+    ) {
+        let mut input = head;
+        for byte in input.iter_mut().take(continuing) {
+            *byte |= 0x80;
+        }
+        input.extend_from_slice(&tail);
+        prop_assert_eq!(read_varint(&input), read_varint_oracle(&input), "{:02x?}", input);
     }
 }
 
