@@ -20,9 +20,6 @@
 //! let table = table1.run(&TrialPool::serial(), &scale).expect("runs");
 //! assert!(!table.is_empty());
 //! ```
-//!
-//! The old twin names survive for one release as `#[deprecated]` shims in
-//! [`crate::experiments::deprecated`].
 
 use agossip_sim::SimResult;
 

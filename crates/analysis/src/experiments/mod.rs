@@ -7,9 +7,7 @@
 //! any worker count (serial = `TrialPool::serial()`). Every driver is also
 //! registered as an [`experiment::Experiment`] trait object in
 //! [`crate::sweep::registry`], so every artifact can be produced from one
-//! place (the `scenarios` example, the `sweep_baseline` binary). The old
-//! `run_X` / `run_X_with` twin names live on for one release as
-//! `#[deprecated]` shims in [`deprecated`].
+//! place (the `scenarios` example, the `sweep_baseline` binary).
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -30,7 +28,6 @@ pub mod ablation;
 pub mod bit_complexity;
 pub mod coa;
 pub mod common;
-pub mod deprecated;
 pub mod experiment;
 pub mod live;
 pub mod lower_bound;
@@ -60,14 +57,4 @@ pub use table1::{table1_rows, table1_to_table, Table1Row};
 pub use table2::{table2_rows, table2_to_table, Table2Row};
 pub use tears_lemmas::{
     run_tears_structure, run_tears_structure_at, tears_structure_rows, TearsStructureRow,
-};
-
-#[allow(deprecated)]
-pub use deprecated::{
-    run_ablation, run_ablation_with, run_bit_complexity, run_bit_complexity_with, run_coa,
-    run_coa_with, run_knob_ablation, run_knob_ablation_with, run_live_scale, run_live_sweep,
-    run_live_sweep_with, run_lower_bound_experiment, run_lower_bound_experiment_with,
-    run_robustness, run_robustness_with, run_scale, run_scale_with, run_sears_sweep,
-    run_sears_sweep_with, run_table1, run_table1_with, run_table2, run_table2_with,
-    run_tears_structure_sweep,
 };

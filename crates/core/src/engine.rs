@@ -12,8 +12,9 @@
 //! * the discrete-event simulator ([`crate::adapter::SimGossip`] adapts an
 //!   engine to [`agossip_sim::Process`]), which is what the complexity
 //!   experiments use, and
-//! * the thread-per-process runtime in `agossip-runtime`, which demonstrates
-//!   the protocols running under real (uncontrolled) asynchrony.
+//! * the live runtime in `agossip-runtime` (OS threads exchanging byte
+//!   frames), which demonstrates the protocols running under real
+//!   (uncontrolled) asynchrony.
 
 use std::fmt;
 

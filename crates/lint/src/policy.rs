@@ -116,7 +116,7 @@ pub fn default_policy() -> Policy {
         ),
         // (3) Decode and frame handling must never panic: corrupt bytes are
         // message loss, surfaced as typed errors. The driver is included
-        // because it joins node threads and surfaces their errors — a panic
+        // because it joins reactor threads and surfaces their errors — a panic
         // there takes down the whole run; the reactor multiplexes *every*
         // process of its shard, so a panic there takes out all of them at
         // once. The epoch/service paths peel and route epoch-tagged frames

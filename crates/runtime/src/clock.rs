@@ -65,7 +65,7 @@ impl Clock for MonotonicClock {
 /// free-running run make progress without any thread ever sleeping on real
 /// time.
 ///
-/// Thread-safe: the free-running driver and every node thread share one
+/// Thread-safe: the free-running driver and every reactor thread share one
 /// clock.
 #[derive(Debug, Default)]
 pub struct FakeClock {

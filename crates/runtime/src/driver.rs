@@ -1,33 +1,37 @@
 //! The live driver: n concurrent processes gossiping to completion over a
 //! byte transport.
 //!
-//! [`run_live`] opens one [`Transport`] endpoint per process, schedules the
-//! processes onto OS threads per the configured [`Threading`] — one thread
-//! per process, or a handful of reactor threads each multiplexing many
-//! processes (see [`crate::reactor`]) — and watches for completion:
+//! [`run_live`] opens one [`Transport`] endpoint per process, resolves the
+//! configured [`Threading`] to a reactor count — `n` for one thread per
+//! process, or a handful of threads each multiplexing many processes (see
+//! [`crate::reactor`]) — and watches for completion:
 //!
 //! * **Lockstep** — the driver participates in the tick barrier: each tick
-//!   it first arbitrates the settle handshake (nodes drain their
+//!   it first arbitrates the settle handshake (reactors drain their
 //!   transports until `messages_sent == frames_consumed`, so no frame is
 //!   ever read a tick late or lost in kernel transit — this is what makes
 //!   the guarantees transport-independent), then stops the run after two
-//!   consecutive all-quiet ticks, where *quiet* means a node neither
+//!   consecutive all-quiet ticks, where *quiet* means a process neither
 //!   delivered nor sent anything, holds no pending frames, and its engine
 //!   is quiescent. Two idle ticks prove the network empty: any frame sent
 //!   at tick `t` makes its sender non-quiet at `t`, so two quiet ticks
 //!   mean the last send was at least two ticks ago and everything since
 //!   has been consumed and delivered. Outcomes are bit-identical for a
-//!   given seed — under either threading, with any reactor count.
+//!   given seed, with any reactor count.
 //! * **Free-running** — the driver polls for a sustained quiet period,
 //!   mirroring the paper's "eventually every process stops sending"
 //!   quiescence condition. Time is read through the run's [`Clock`]
 //!   ([`run_live`] uses the real [`MonotonicClock`];
 //!   [`run_live_with_clock`] lets tests inject a [`crate::FakeClock`]).
 //!
+//! Both disciplines, and [`crate::service`]'s epoch pipeline on top of
+//! them, go through one spawn-drive-join path, `run_processes`; what the
+//! driver decides each time it looks at the run is the closure it is given.
+//!
 //! Crash injection kills process `p` after its configured number of local
 //! steps: under free-running pacing its endpoint is dropped (its peers'
 //! sends start failing, i.e. their messages are lost); under lockstep the
-//! node turns into a zombie that keeps draining its sockets but delivers
+//! process turns into a zombie that keeps draining its sockets but delivers
 //! and sends nothing — same observable semantics, still deterministic.
 
 use std::sync::atomic::Ordering;
@@ -40,20 +44,11 @@ use agossip_sim::ProcessId;
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::{ConfigError, RuntimeError};
-use crate::event_loop::{
-    run_free_node, run_lockstep_node, FreeNode, LockstepNode, NodeOutcome, SharedRun,
-};
-use crate::reactor::{reactor_of, run_free_reactor, run_lockstep_reactor, ReactorProc};
-use crate::transport::Transport;
+use crate::event_loop::{duration_ms, NodeOutcome, ReactorProc, SharedRun};
+use crate::reactor::{reactor_of, run_free_reactor, run_lockstep_reactor};
+use crate::transport::{Endpoint, Transport};
 
-/// Upper bound on poll-only settle rounds per lockstep tick. On a healthy
-/// transport a frame becomes readable within a round or two; thousands of
-/// rounds without progress means frames were truly lost (which lockstep
-/// transports never do by construction) and the run aborts with an error
-/// instead of spinning forever.
-const MAX_SETTLE_ROUNDS: u64 = 100_000;
-
-/// How the node event loops are paced.
+/// How the reactor loops are paced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pacing {
     /// Barrier-paced deterministic ticks with seeded delays in `1..=d`
@@ -105,8 +100,9 @@ impl Pacing {
 /// How processes are scheduled onto OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threading {
-    /// One OS thread per process (the PR 5 runtime). Faithful to "a process
-    /// is a thread", but caps `n` near the machine's thread budget.
+    /// One OS thread per process: exactly `Reactor { reactors: n }`.
+    /// Faithful to "a process is a thread", but caps `n` near the machine's
+    /// thread budget.
     PerProcess,
     /// `reactors` event-loop threads, each multiplexing the processes
     /// pinned to it (process `p` runs on reactor `p mod reactors` — see
@@ -115,6 +111,16 @@ pub enum Threading {
         /// Number of reactor threads, `≥ 1` (clamped to `n` at run time).
         reactors: usize,
     },
+}
+
+impl Threading {
+    /// The number of reactor threads a run of `n` processes gets.
+    pub(crate) fn reactors(self, n: usize) -> usize {
+        match self {
+            Threading::PerProcess => n,
+            Threading::Reactor { reactors } => reactors.min(n),
+        }
+    }
 }
 
 /// Configuration of one live run.
@@ -157,7 +163,7 @@ impl LiveConfig {
         }
     }
 
-    /// A deterministic lockstep configuration (thread per process).
+    /// A deterministic lockstep configuration ([`Threading::PerProcess`]).
     pub fn lockstep(n: usize, f: usize, seed: u64) -> Self {
         LiveConfig {
             n,
@@ -204,14 +210,26 @@ impl LiveConfig {
                 n: self.n,
             });
         }
-        if let Some((victim, _)) = self
-            .crashes
-            .iter()
-            .find(|(victim, _)| victim.index() >= self.n)
-        {
-            return Err(ConfigError::CrashVictimOutOfRange {
-                pid: victim.index(),
-                n: self.n,
+        for (i, (victim, _)) in self.crashes.iter().enumerate() {
+            if victim.index() >= self.n {
+                return Err(ConfigError::CrashVictimOutOfRange {
+                    pid: victim.index(),
+                    n: self.n,
+                });
+            }
+            if self.crashes[..i]
+                .iter()
+                .any(|(earlier, _)| earlier == victim)
+            {
+                return Err(ConfigError::DuplicateCrashVictim {
+                    pid: victim.index(),
+                });
+            }
+        }
+        if self.crashes.len() > self.f {
+            return Err(ConfigError::CrashesExceedBudget {
+                crashes: self.crashes.len(),
+                f: self.f,
             });
         }
         if let Pacing::Lockstep { d, .. } = self.pacing {
@@ -348,95 +366,23 @@ where
         .map(|pid| make(GossipCtx::new(pid, n, config.f, seed)))
         .collect();
 
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    let outcomes: Vec<NodeOutcome> = match (&config.pacing, config.threading) {
-        (&Pacing::Lockstep { d, max_ticks }, Threading::PerProcess) => {
-            let barrier = Barrier::new(n + 1);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-                    let node = LockstepNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.crash_after(ProcessId(pid)),
-                        seed,
-                        d,
-                    };
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(scope.spawn(move || run_lockstep_node(node, shared, barrier)));
+    // The driver's verdict each time it looks at the run: two consecutive
+    // all-quiet ticks under lockstep, all quiet for a sustained period when
+    // free-running.
+    let mut quiet_streak = 0u32;
+    let (outcomes, quiescent, ticks) =
+        run_processes(config, engines, endpoints, &shared, |_, _| {
+            let all_quiet = shared.quiet.iter().all(|flag| flag.load(Ordering::Relaxed));
+            Ok(match config.pacing {
+                Pacing::Lockstep { .. } => {
+                    quiet_streak = if all_quiet { quiet_streak + 1 } else { 0 };
+                    quiet_streak >= 2
                 }
-                (quiescent, ticks) = drive_lockstep(&barrier, &shared, max_ticks);
-                join_nodes(handles, &shared)
-            })
-        }
-        (&Pacing::Lockstep { d, max_ticks }, Threading::Reactor { reactors }) => {
-            let r = reactors.min(n);
-            let barrier = Barrier::new(r + 1);
-            let groups = pin_to_reactors(config, engines, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(
-                        scope.spawn(move || run_lockstep_reactor(group, seed, d, shared, barrier)),
-                    );
+                Pacing::FreeRunning { quiet_period, .. } => {
+                    all_quiet && shared.since_last_activity() >= quiet_period
                 }
-                (quiescent, ticks) = drive_lockstep(&barrier, &shared, max_ticks);
-                join_reactors(handles, n, &shared)
             })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::PerProcess,
-        ) => thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (pid, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-                let node = FreeNode {
-                    engine,
-                    endpoint,
-                    crash_after: config.crash_after(ProcessId(pid)),
-                    seed,
-                    max_delay,
-                    max_step_pause,
-                };
-                let shared = &shared;
-                handles.push(scope.spawn(move || run_free_node(node, shared)));
-            }
-            quiescent = drive_free(&shared, quiet_period, max_duration);
-            join_nodes(handles, &shared)
-        }),
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::Reactor { reactors },
-        ) => {
-            let r = reactors.min(n);
-            let groups = pin_to_reactors(config, engines, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || {
-                        run_free_reactor(group, seed, max_delay, max_step_pause, shared)
-                    }));
-                }
-                quiescent = drive_free(&shared, quiet_period, max_duration);
-                join_reactors(handles, n, &shared)
-            })
-        }
-    };
+        });
 
     if let Some(error) = shared.first_error.lock().take() {
         return Err(error);
@@ -460,53 +406,124 @@ where
     })
 }
 
-/// Splits engines/endpoints into per-reactor groups by the pinning rule
-/// (`pid mod reactors`), pid-ordered within each group.
-pub(crate) fn pin_to_reactors<G, E>(
+/// Spawns the run's reactor threads, drives them to completion and joins
+/// them: the one path every live and service run takes. Returns the
+/// per-process outcomes in pid order, whether the run completed (as opposed
+/// to hitting its tick or clock limit, or an error), and the lockstep ticks
+/// executed (0 when free-running).
+///
+/// `window(now, next)` is the driver's look at the run, and returns whether
+/// the run is complete. Under lockstep it is called once per tick, between
+/// the two quiet-check barriers — with every process parked — where `now`
+/// is the tick just computed and `next` the one about to be. Free-running
+/// it is called every few milliseconds while the processes run, with both
+/// set to the run clock in milliseconds.
+pub(crate) fn run_processes<G, E>(
     config: &LiveConfig,
     engines: Vec<G>,
     endpoints: Vec<E>,
-    reactors: usize,
-) -> Vec<Vec<(ProcessId, ReactorProc<G, E>)>> {
-    let mut groups: Vec<Vec<(ProcessId, ReactorProc<G, E>)>> =
-        (0..reactors).map(|_| Vec::new()).collect();
-    for (i, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-        let pid = ProcessId(i);
-        groups[reactor_of(pid, reactors)].push((
+    shared: &SharedRun,
+    window: impl FnMut(u64, u64) -> Result<bool, RuntimeError>,
+) -> (Vec<NodeOutcome>, bool, u64)
+where
+    G: GossipEngine + Send,
+    G::Msg: WireCodec + WireDecodeView + PartialEq,
+    E: Endpoint,
+{
+    let n = config.n;
+    let seed = config.seed;
+    let reactors = config.threading.reactors(n);
+    // Pin by `pid mod reactors`, pid-ordered within each group.
+    let mut groups: Vec<Vec<ReactorProc<G, E>>> = (0..reactors).map(|_| Vec::new()).collect();
+    for (pid, (engine, endpoint)) in ProcessId::all(n).zip(engines.into_iter().zip(endpoints)) {
+        groups[reactor_of(pid, reactors)].push(ReactorProc {
             pid,
-            ReactorProc {
-                engine,
-                endpoint,
-                crash_after: config.crash_after(pid),
-            },
-        ));
+            engine,
+            endpoint,
+            crash_after: config.crash_after(pid),
+        });
     }
-    groups
+    let barrier = Barrier::new(reactors + 1); // lockstep only: reactors + driver
+
+    let mut by_pid: Vec<Option<NodeOutcome>> = (0..n).map(|_| None).collect();
+    let (complete, ticks) = thread::scope(|scope| {
+        let barrier = &barrier;
+        let mut handles = Vec::with_capacity(reactors);
+        let verdict = match config.pacing {
+            Pacing::Lockstep { d, max_ticks } => {
+                for group in groups {
+                    handles.push(
+                        scope.spawn(move || run_lockstep_reactor(group, seed, d, shared, barrier)),
+                    );
+                }
+                drive_lockstep(barrier, shared, max_ticks, window)
+            }
+            Pacing::FreeRunning {
+                max_delay,
+                max_step_pause,
+                max_duration,
+                ..
+            } => {
+                for group in groups {
+                    handles.push(scope.spawn(move || {
+                        run_free_reactor(group, seed, max_delay, max_step_pause, shared)
+                    }));
+                }
+                (drive_free(shared, max_duration, window), 0)
+            }
+        };
+        // A panicked reactor becomes a recorded error instead of propagating;
+        // callers surface the first recorded error before they read the
+        // (then short) outcome list.
+        for handle in handles {
+            match handle.join() {
+                Ok(outcomes) => {
+                    for (pid, outcome) in outcomes {
+                        by_pid[pid.index()] = Some(outcome);
+                    }
+                }
+                Err(_) => shared.record_error(RuntimeError::NodePanicked),
+            }
+        }
+        verdict
+    });
+    (by_pid.into_iter().flatten().collect(), complete, ticks)
 }
 
-/// The driver's side of the lockstep tick protocol: arbitrates the settle
-/// handshake, then the quiet check, as the extra barrier participant. The
-/// node side may be thread-per-process event loops or reactor threads —
-/// the protocol is identical. Returns `(quiescent, ticks)`.
-fn drive_lockstep(barrier: &Barrier, shared: &SharedRun, max_ticks: u64) -> (bool, u64) {
-    let mut quiescent = false;
+/// Upper bound on poll-only settle rounds per lockstep tick. On a healthy
+/// transport a frame becomes readable within a round or two; thousands of
+/// rounds without progress means frames were truly lost (which lockstep
+/// transports never do by construction) and the run aborts with
+/// [`RuntimeError::SettleTimeout`] instead of spinning forever.
+const MAX_SETTLE_ROUNDS: u64 = 100_000;
+
+/// The driver's side of the lockstep tick protocol, as the extra barrier
+/// participant: arbitrates the settle handshake, then opens the quiet-check
+/// window (see [`run_processes`]). Returns `(complete, ticks)`.
+fn drive_lockstep(
+    barrier: &Barrier,
+    shared: &SharedRun,
+    max_ticks: u64,
+    mut window: impl FnMut(u64, u64) -> Result<bool, RuntimeError>,
+) -> (bool, u64) {
+    let mut complete = false;
     let mut ticks = 0u64;
-    let mut quiet_streak = 0u32;
     'ticks: loop {
         // Settle rounds.
-        let mut settle_rounds = 0u64;
+        let mut rounds = 0u64;
         loop {
-            barrier.wait(); // nodes have polled
+            barrier.wait(); // reactors have polled
             let sent = shared.stats.messages_sent.load(Ordering::Relaxed);
             let consumed = shared.stats.frames_consumed.load(Ordering::Relaxed);
             let settled = sent == consumed;
             shared.settled.store(settled, Ordering::Relaxed);
-            settle_rounds += 1;
-            if settle_rounds > MAX_SETTLE_ROUNDS {
-                shared.record_error(RuntimeError::Config(format!(
-                    "transport failed to settle: {consumed}/{sent} frames \
-                     consumed after {settle_rounds} poll rounds"
-                )));
+            rounds += 1;
+            if !settled && rounds > MAX_SETTLE_ROUNDS {
+                shared.record_error(RuntimeError::SettleTimeout {
+                    sent,
+                    consumed,
+                    rounds,
+                });
             }
             if shared.has_error() {
                 shared.stop.store(true, Ordering::Relaxed);
@@ -523,16 +540,14 @@ fn drive_lockstep(barrier: &Barrier, shared: &SharedRun, max_ticks: u64) -> (boo
             // moment before the next poll round.
             thread::yield_now();
         }
-        // Quiet check.
+        // Quiet-check window: reactors are parked between these two waits.
         barrier.wait();
         ticks += 1;
-        let all_quiet = shared.quiet.iter().all(|flag| flag.load(Ordering::Relaxed));
-        quiet_streak = if all_quiet { quiet_streak + 1 } else { 0 };
-        if quiet_streak >= 2 {
-            quiescent = true;
-            shared.stop.store(true, Ordering::Relaxed);
+        match window(ticks - 1, ticks) {
+            Ok(done) => complete = done,
+            Err(error) => shared.record_error(error),
         }
-        if ticks >= max_ticks || shared.has_error() {
+        if complete || ticks >= max_ticks || shared.has_error() {
             shared.stop.store(true, Ordering::Relaxed);
         }
         let stopping = shared.stop.load(Ordering::Relaxed);
@@ -541,73 +556,43 @@ fn drive_lockstep(barrier: &Barrier, shared: &SharedRun, max_ticks: u64) -> (boo
             break;
         }
     }
-    (quiescent, ticks)
+    (complete, ticks)
 }
 
-/// The driver's side of a free-running run: wait for sustained quiet or
-/// the clock limit, then raise the stop flag. Returns `quiescent`.
-fn drive_free(shared: &SharedRun, quiet_period: Duration, max_duration: Duration) -> bool {
-    let mut quiescent = false;
-    loop {
+/// The driver's side of a free-running run: open the window (see
+/// [`run_processes`]) every few milliseconds until it reports the run
+/// complete, an error is recorded or the clock limit passes, then raise the
+/// stop flag. Returns `complete`.
+fn drive_free(
+    shared: &SharedRun,
+    max_duration: Duration,
+    mut window: impl FnMut(u64, u64) -> Result<bool, RuntimeError>,
+) -> bool {
+    let complete = loop {
         thread::sleep(Duration::from_millis(5));
-        if shared.elapsed() >= max_duration || shared.has_error() {
-            break;
+        let elapsed = shared.elapsed();
+        if elapsed >= max_duration || shared.has_error() {
+            break false;
         }
-        let all_quiet = shared.quiet.iter().all(|flag| flag.load(Ordering::Relaxed));
-        if all_quiet && shared.since_last_activity() >= quiet_period {
-            quiescent = true;
-            break;
-        }
-    }
-    shared.stop.store(true, Ordering::Relaxed);
-    quiescent
-}
-
-/// Joins the node threads, converting any panic into a recorded
-/// [`RuntimeError::NodePanicked`] instead of propagating it. `run_live`
-/// surfaces the first recorded error before the (then short) outcome list
-/// is ever read.
-pub(crate) fn join_nodes<'scope>(
-    handles: Vec<thread::ScopedJoinHandle<'scope, NodeOutcome>>,
-    shared: &SharedRun,
-) -> Vec<NodeOutcome> {
-    let mut outcomes = Vec::with_capacity(handles.len());
-    for handle in handles {
-        match handle.join() {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(_) => shared.record_error(RuntimeError::NodePanicked),
-        }
-    }
-    outcomes
-}
-
-/// Joins reactor threads and re-assembles their per-process outcomes into
-/// pid order. A panicked reactor is recorded like a panicked node; the
-/// error is surfaced before the (then short) outcome list is read.
-pub(crate) fn join_reactors<'scope>(
-    handles: Vec<thread::ScopedJoinHandle<'scope, Vec<(ProcessId, NodeOutcome)>>>,
-    n: usize,
-    shared: &SharedRun,
-) -> Vec<NodeOutcome> {
-    let mut by_pid: Vec<Option<NodeOutcome>> = (0..n).map(|_| None).collect();
-    for handle in handles {
-        match handle.join() {
-            Ok(outcomes) => {
-                for (pid, outcome) in outcomes {
-                    by_pid[pid.index()] = Some(outcome);
-                }
+        let now = duration_ms(elapsed);
+        match window(now, now) {
+            Ok(true) => break true,
+            Ok(false) => {}
+            Err(error) => {
+                shared.record_error(error);
+                break false;
             }
-            Err(_) => shared.record_error(RuntimeError::NodePanicked),
         }
-    }
-    by_pid.into_iter().flatten().collect()
+    };
+    shared.stop.store(true, Ordering::Relaxed);
+    complete
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::FakeClock;
-    use crate::transport::{ChannelTransport, SocketTransport};
+    use crate::transport::{ChannelTransport, RawFrame, SendOutcome, SocketTransport};
     use agossip_core::{check_gossip, Ears, GossipSpec, Rumor, Tears, Trivial};
 
     fn initial_rumors(n: usize) -> Vec<Rumor> {
@@ -644,11 +629,13 @@ mod tests {
     #[test]
     fn lockstep_reactor_matches_per_process_bit_for_bit() {
         // The same configuration under thread-per-process and under 1, 3,
-        // and 8 reactors: identical outcomes and counters everywhere.
-        let base = LiveConfig::lockstep(12, 3, 7)
+        // 8, n and (clamped to n) n + 5 reactors: identical outcomes and
+        // counters everywhere.
+        let n = 12;
+        let base = LiveConfig::lockstep(n, 3, 7)
             .with_crashes(vec![(ProcessId(10), 2), (ProcessId(11), 0)]);
         let reference = run_live(&base, &ChannelTransport, Ears::new).unwrap();
-        for reactors in [1usize, 3, 8] {
+        for reactors in [1, 3, 8, n, n + 5] {
             let config = base.clone().on_reactors(reactors);
             let got = run_live(&config, &ChannelTransport, Ears::new).unwrap();
             assert_eq!(got.final_rumors, reference.final_rumors, "r={reactors}");
@@ -759,6 +746,18 @@ mod tests {
             run_live(&bad_victim, &ChannelTransport, Trivial::new),
             Err(RuntimeError::Config(_))
         ));
+        let over_budget =
+            LiveConfig::lockstep(4, 1, 0).with_crashes(vec![(ProcessId(2), 0), (ProcessId(3), 0)]);
+        assert!(matches!(
+            run_live(&over_budget, &ChannelTransport, Trivial::new),
+            Err(RuntimeError::Config(_))
+        ));
+        let twice =
+            LiveConfig::lockstep(4, 2, 0).with_crashes(vec![(ProcessId(3), 0), (ProcessId(3), 5)]);
+        assert!(matches!(
+            run_live(&twice, &ChannelTransport, Trivial::new),
+            Err(RuntimeError::Config(_))
+        ));
         let bad_d = LiveConfig {
             pacing: Pacing::Lockstep { d: 0, max_ticks: 1 },
             ..LiveConfig::lockstep(4, 1, 0)
@@ -794,6 +793,18 @@ mod tests {
             Err(ConfigError::CrashVictimOutOfRange { pid: 9, n: 4 })
         );
         assert_eq!(
+            LiveConfig::builder(4, 2, 7)
+                .crashes(vec![(ProcessId(3), 1), (ProcessId(3), 2)])
+                .build(),
+            Err(ConfigError::DuplicateCrashVictim { pid: 3 })
+        );
+        assert_eq!(
+            LiveConfig::builder(4, 1, 7)
+                .crashes(vec![(ProcessId(2), 1), (ProcessId(3), 1)])
+                .build(),
+            Err(ConfigError::CrashesExceedBudget { crashes: 2, f: 1 })
+        );
+        assert_eq!(
             LiveConfig::builder(4, 1, 7)
                 .pacing(Pacing::Lockstep {
                     d: 0,
@@ -818,5 +829,52 @@ mod tests {
         let report = run_live(&config, &ChannelTransport, Ears::new).unwrap();
         assert!(!report.quiescent);
         assert_eq!(report.ticks, 2);
+    }
+
+    /// A transport that accepts every frame and never yields one.
+    struct BlackHole;
+
+    struct BlackHoleEndpoint(ProcessId);
+
+    impl Transport for BlackHole {
+        type Endpoint = BlackHoleEndpoint;
+
+        fn name(&self) -> &'static str {
+            "black-hole"
+        }
+
+        fn open(&self, n: usize) -> Result<Vec<BlackHoleEndpoint>, RuntimeError> {
+            Ok(ProcessId::all(n).map(BlackHoleEndpoint).collect())
+        }
+    }
+
+    impl Endpoint for BlackHoleEndpoint {
+        fn pid(&self) -> ProcessId {
+            self.0
+        }
+
+        fn send(&mut self, _to: ProcessId, _payload: &[u8]) -> Result<SendOutcome, RuntimeError> {
+            Ok(SendOutcome::Sent)
+        }
+
+        fn poll_into(&mut self, _out: &mut Vec<RawFrame>) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn transport_that_never_settles_is_a_typed_timeout_not_a_hang() {
+        let config = LiveConfig::lockstep(2, 0, 1).on_reactors(1);
+        match run_live(&config, &BlackHole, Trivial::new) {
+            Err(RuntimeError::SettleTimeout {
+                sent,
+                consumed,
+                rounds,
+            }) => {
+                assert_eq!((sent, consumed), (2, 0));
+                assert!(rounds > MAX_SETTLE_ROUNDS);
+            }
+            other => panic!("expected SettleTimeout, got {other:?}"),
+        }
     }
 }

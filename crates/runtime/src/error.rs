@@ -23,7 +23,7 @@ pub enum RuntimeError {
     Codec(CodecError),
     /// The configuration is invalid (e.g. `f ≥ n`).
     Config(String),
-    /// A node thread panicked instead of returning an outcome. The driver
+    /// A reactor thread panicked instead of returning its outcomes. The driver
     /// records this and aborts the run; the panic payload is not preserved.
     NodePanicked,
     /// A service-mode epoch stopped making progress: it neither settled nor
@@ -37,6 +37,18 @@ pub enum RuntimeError {
         /// How long the epoch sat without settling, in the run's time unit
         /// (lockstep ticks, or milliseconds when free-running).
         stalled_for: u64,
+    },
+    /// A lockstep settle handshake gave up: after `rounds` poll-only rounds
+    /// the transport still had not yielded every frame it accepted, so
+    /// frames were lost in transit (which lockstep transports never do by
+    /// construction) and the run aborted instead of spinning forever.
+    SettleTimeout {
+        /// Messages handed to the transport so far.
+        sent: u64,
+        /// Frames taken off it (or booked as lost to a dead peer) so far.
+        consumed: u64,
+        /// Poll rounds spent on the tick that never settled.
+        rounds: u64,
     },
 }
 
@@ -62,6 +74,19 @@ pub enum ConfigError {
         pid: usize,
         /// Configured process count.
         n: usize,
+    },
+    /// A crash schedule names the same process twice.
+    DuplicateCrashVictim {
+        /// The repeated victim index.
+        pid: usize,
+    },
+    /// A crash schedule with more victims than the failure budget `f` the
+    /// protocol was told to tolerate.
+    CrashesExceedBudget {
+        /// Number of scheduled crashes.
+        crashes: usize,
+        /// Configured failure budget.
+        f: usize,
     },
     /// Lockstep pacing with `d == 0`: every delay is drawn from `1..=d`.
     ZeroDelayBound,
@@ -93,6 +118,15 @@ impl fmt::Display for ConfigError {
             ConfigError::CrashVictimOutOfRange { pid, n } => {
                 write!(f, "crash victim {pid} out of range for n={n}")
             }
+            ConfigError::DuplicateCrashVictim { pid } => {
+                write!(f, "crash victim {pid} is scheduled more than once")
+            }
+            ConfigError::CrashesExceedBudget { crashes, f: budget } => {
+                write!(
+                    f,
+                    "{crashes} scheduled crashes exceed failure budget f={budget}"
+                )
+            }
             ConfigError::ZeroDelayBound => write!(f, "lockstep delay bound d must be at least 1"),
             ConfigError::ZeroReactors => write!(f, "reactor count must be at least 1"),
             ConfigError::ZeroWindow => write!(f, "service window must be at least 1"),
@@ -122,10 +156,18 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Io { context, source } => write!(f, "{context}: {source}"),
             RuntimeError::Codec(e) => write!(f, "frame decode failed: {e}"),
             RuntimeError::Config(reason) => write!(f, "invalid runtime config: {reason}"),
-            RuntimeError::NodePanicked => write!(f, "a node thread panicked"),
+            RuntimeError::NodePanicked => write!(f, "a reactor thread panicked"),
             RuntimeError::EpochStalled { epoch, stalled_for } => {
                 write!(f, "epoch {epoch} stalled for {stalled_for} time units")
             }
+            RuntimeError::SettleTimeout {
+                sent,
+                consumed,
+                rounds,
+            } => write!(
+                f,
+                "transport failed to settle: {consumed}/{sent} frames consumed after {rounds} poll rounds"
+            ),
         }
     }
 }
@@ -138,6 +180,7 @@ impl std::error::Error for RuntimeError {
             RuntimeError::Config(_) => None,
             RuntimeError::NodePanicked => None,
             RuntimeError::EpochStalled { .. } => None,
+            RuntimeError::SettleTimeout { .. } => None,
         }
     }
 }

@@ -1,43 +1,39 @@
-//! The per-process event loop: decode frames, drive the engine, encode and
+//! One process of a live run: decode frames, drive the engine, encode and
 //! send.
 //!
-//! One loop body exists per *pacing* discipline (see
-//! [`crate::driver::Pacing`]):
+//! A [`Slot`] is everything one process owns — engine, endpoint, seeded RNG
+//! stream, the heap of frames waiting out their delivery deadline — and the
+//! three things every process does whatever its pacing:
 //!
-//! * [`run_lockstep_node`] — barrier-paced ticks with seeded per-message
-//!   delays in `1..=d` ticks. Every thread runs concurrently within a tick,
-//!   but delivery order is a pure function of `(deliver_tick, sender, seq)`,
-//!   so a run's outcome is **bit-identical for a given seed** regardless of
-//!   OS scheduling. This mirrors the simulator's `(d, δ)` model with
-//!   `δ = 1`. Each tick starts with a *settle* handshake: nodes drain
-//!   their transports in poll-only rounds until the driver observes that
-//!   every frame handed to the transport has been taken off it
-//!   (`messages_sent == frames_consumed`). Channels settle in one round;
-//!   kernel transports (loopback TCP/UDS) may buffer a frame past one
-//!   poll, and without the handshake a late frame would change the
-//!   execution — or be lost entirely if the run stopped while it was in
-//!   transit. With it, determinism and no-loss hold on *any* transport.
-//! * [`run_free_node`] — free-running pacing: the thread sleeps a random
-//!   sub-millisecond interval between local steps and injects random
-//!   wall-clock delivery delays. Nothing synchronises the threads; this is
-//!   the runtime under *real* scheduling nondeterminism.
+//! * [`Slot::poll`] — push queued outbound bytes, drain the endpoint, book
+//!   every frame taken off the transport as consumed;
+//! * [`Slot::deliver_due`] — fold every pending frame whose deadline has
+//!   come into the engine as one batch;
+//! * [`Slot::step`] — one local step: run the engine, encode each distinct
+//!   outgoing message once, stamp and send it.
 //!
-//! Both loops speak bytes: outgoing messages go through
+//! *When* those happen is the pacing discipline (see
+//! [`crate::driver::Pacing`]) and lives in [`crate::reactor`], which runs
+//! any number of slots on one thread. The pending heap is generic over its
+//! deadline because the two pacings tell time differently — lockstep in
+//! ticks, free-running by the run's clock — see [`Pending`].
+//!
+//! Everything here speaks bytes: outgoing messages go through
 //! [`agossip_core::codec`] ([`WireCodec::encode_into`]) and incoming frames
-//! are decoded before delivery. A frame that fails to decode is counted and
+//! stay encoded until delivery. A frame that fails to decode is counted and
 //! dropped — a byte-corrupting link is message loss in the model, and the
 //! codec's typed errors guarantee it can never panic the loop.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use agossip_core::codec::{read_varint, write_varint};
+use agossip_core::codec::read_varint;
 use agossip_core::{CodecError, EncodedFrame, GossipEngine, WireCodec, WireDecodeView};
 use agossip_sim::rng::{derive_seed, RngStream};
 use agossip_sim::ProcessId;
@@ -46,7 +42,7 @@ use crate::clock::Clock;
 use crate::error::RuntimeError;
 use crate::transport::{Endpoint, FrameBody, RawFrame, SendOutcome};
 
-/// Counters shared by every node thread of one run.
+/// Counters shared by every reactor thread of one run.
 #[derive(Debug, Default)]
 pub struct RunStats {
     /// Point-to-point messages handed to the transport.
@@ -66,7 +62,7 @@ pub struct RunStats {
     pub decode_errors: AtomicU64,
 }
 
-/// Everything the node threads of one run share with the driver.
+/// Everything the reactor threads of one run share with the driver.
 pub(crate) struct SharedRun {
     pub stats: RunStats,
     pub stop: AtomicBool,
@@ -82,7 +78,7 @@ pub(crate) struct SharedRun {
     /// test time under [`crate::FakeClock`]. Only the free-running paths
     /// read it; lockstep time is the tick counter.
     pub clock: Arc<dyn Clock>,
-    /// First error any node thread hit; the driver surfaces it after join.
+    /// First error any thread hit; the driver surfaces it after join.
     pub first_error: Mutex<Option<RuntimeError>>,
 }
 
@@ -129,39 +125,41 @@ impl SharedRun {
 }
 
 /// Whole milliseconds of `d`, saturating at `u64::MAX`.
-fn duration_ms(d: Duration) -> u64 {
+pub(crate) fn duration_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// What one node thread hands back when it finishes.
+/// What one process hands back when the run finishes.
 pub(crate) struct NodeOutcome {
     pub rumors: agossip_core::RumorSet,
     pub steps: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Lockstep pacing
-// ---------------------------------------------------------------------------
-
-/// A validated, still-encoded message waiting out its delivery tick.
-/// Min-heap order on `(deliver_tick, from, seq)` — a strict total order,
-/// since `(from, seq)` is unique — which is what makes lockstep delivery
-/// deterministic. The body stays encoded (and, for broadcast fast-path
-/// frames, shared) until delivery, when a whole tick's batch is folded into
-/// the engine through [`GossipEngine::deliver_encoded`].
-pub(crate) struct PendingTick {
-    pub(crate) deliver_tick: u64,
+/// A still-encoded message waiting out its delivery deadline, min-heap
+/// ordered on `(at, from, seq)`. The body stays encoded (and, for broadcast
+/// fast-path frames, shared) until delivery, when the whole due batch is
+/// folded into the engine through [`GossipEngine::deliver_encoded`].
+///
+/// Under lockstep `at` is the delivery tick and `seq` the sender's own
+/// sequence number, both read off the frame's stamp: `(from, seq)` is
+/// unique, so the order is strict, total and a pure function of the seed —
+/// which is what makes lockstep delivery deterministic. Free-running, `at`
+/// is elapsed time per the run's [`Clock`] (not an `Instant`, so a fake
+/// clock can drive it in tests) and `seq` counts arrivals, which keeps each
+/// sender's frames first-in-first-out among equal deadlines.
+pub(crate) struct Pending<T> {
+    pub(crate) at: T,
     pub(crate) from: ProcessId,
     pub(crate) seq: u64,
     /// The frame body, still encoded.
     pub(crate) body: FrameBody,
-    /// Offset of the message bytes within `body` (stream-framed payloads
-    /// carry the tick/seq stamp inline; fast-path frames carry it in the
-    /// frame head).
+    /// Offset of the message bytes within `body` (lockstep stream-framed
+    /// payloads carry the tick/seq stamp inline; fast-path frames carry it
+    /// in the frame head; free-running frames carry none).
     pub(crate) msg_at: usize,
 }
 
-impl EncodedFrame for PendingTick {
+impl<T> EncodedFrame for Pending<T> {
     fn sender(&self) -> ProcessId {
         self.from
     }
@@ -171,232 +169,202 @@ impl EncodedFrame for PendingTick {
     }
 }
 
-impl PartialEq for PendingTick {
+impl<T: Ord> PartialEq for Pending<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl Eq for PendingTick {}
+impl<T: Ord> Eq for Pending<T> {}
 
-impl PartialOrd for PendingTick {
+impl<T: Ord> PartialOrd for Pending<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for PendingTick {
+impl<T: Ord> Ord for Pending<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.deliver_tick, other.from.index(), other.seq).cmp(&(
-            self.deliver_tick,
-            self.from.index(),
-            self.seq,
-        ))
+        (&other.at, other.from, other.seq).cmp(&(&self.at, self.from, self.seq))
     }
 }
 
-/// Parameters of one lockstep node thread.
-pub(crate) struct LockstepNode<G, E> {
+/// One process handed to a reactor: its engine, its endpoint, and its crash
+/// point.
+pub(crate) struct ReactorProc<G, E> {
+    pub pid: ProcessId,
     pub engine: G,
     pub endpoint: E,
     /// Crash after this many local steps (`None` = correct process).
     pub crash_after: Option<u64>,
-    /// Per-run master seed (the per-node delay stream is derived from it).
-    pub seed: u64,
-    /// Delivery delay bound `d ≥ 1`, in ticks.
-    pub d: u64,
 }
 
-/// Runs one node under barrier-paced lockstep until the driver raises the
-/// stop flag. See the module docs for the tick structure and the
-/// determinism argument.
-pub(crate) fn run_lockstep_node<G, E>(
-    node: LockstepNode<G, E>,
-    shared: &SharedRun,
-    barrier: &Barrier,
-) -> NodeOutcome
+/// The state of one multiplexed process. Scratch buffers are not part of it:
+/// a reactor thread owns one set and lends it to each slot in turn.
+pub(crate) struct Slot<G: GossipEngine, E, T> {
+    pub pid: ProcessId,
+    engine: G,
+    endpoint: E,
+    crash_after: Option<u64>,
+    /// The process's own seeded stream (injected delays and pauses).
+    pub rng: StdRng,
+    pub pending: BinaryHeap<Pending<T>>,
+    body: Vec<u8>,
+    shared_body: Arc<[u8]>,
+    last_encoded: Option<G::Msg>,
+    steps: u64,
+    /// Messages sent so far: the per-sender sequence number of the next one.
+    sent: u64,
+    /// Lockstep: a crashed slot stays on as a zombie that keeps draining its
+    /// transport but delivers and sends nothing (free-running removes it).
+    pub crashed: bool,
+    /// Free-running: the slot takes its next local step once the run clock
+    /// passes this — the role of `δ`.
+    pub next_step_at: Duration,
+}
+
+impl<G, E, T> Slot<G, E, T>
 where
     G: GossipEngine,
     G::Msg: WireCodec + WireDecodeView + PartialEq,
     E: Endpoint,
+    T: Ord,
 {
-    let LockstepNode {
-        mut engine,
-        mut endpoint,
-        crash_after,
-        seed,
-        d,
-    } = node;
-    let pid = endpoint.pid();
-    let mut rng = StdRng::seed_from_u64(derive_seed(seed ^ 0x11FE, RngStream::Process(pid)));
-    let mut pending: BinaryHeap<PendingTick> = BinaryHeap::new();
-    let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<PendingTick> = Vec::new();
-    let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
-    let mut head: Vec<u8> = Vec::new();
-    let mut body: Vec<u8> = Vec::new();
-    let mut shared_body: Arc<[u8]> = Arc::new([]);
-    let mut last_encoded: Option<G::Msg> = None;
-    let mut tick = 0u64;
-    let mut steps = 0u64;
-    let mut seq = 0u64;
-    let mut crashed = false;
-
-    'run: loop {
-        // --- Settle: drain the transport in poll-only rounds until the
-        // driver observes every sent frame consumed (one round on
-        // channels; kernel transports may need more). ---------------------
-        loop {
-            // Push queued outbound bytes (sockets write non-blockingly);
-            // frames the flush discovered lost to a dead peer are booked as
-            // consumed, like a Lost send, to keep the settle invariant.
-            match endpoint.flush() {
-                Ok(lost) => {
-                    shared
-                        .stats
-                        .frames_consumed
-                        .fetch_add(lost, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    shared.record_error(e);
-                    crashed = true;
-                }
-            }
-            frames.clear();
-            if let Err(e) = endpoint.poll_into(&mut frames) {
-                shared.record_error(e);
-                crashed = true; // keep participating in barriers, do nothing
-            }
-            shared
-                .stats
-                .frames_consumed
-                .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            if crashed {
-                // A crashed process receives nothing and sends nothing;
-                // frames addressed to it are dropped on the floor.
-                frames.clear();
-            } else {
-                for frame in frames.drain(..) {
-                    match parse_lockstep_frame(&frame) {
-                        Ok((deliver_tick, msg_seq, msg_at)) => pending.push(PendingTick {
-                            deliver_tick,
-                            from: frame.from,
-                            seq: msg_seq,
-                            body: frame.into_body(),
-                            msg_at,
-                        }),
-                        Err(_) => {
-                            shared.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            barrier.wait(); // driver compares sent vs consumed
-            barrier.wait(); // driver has published settled/stop
-            if shared.stop.load(Ordering::Relaxed) {
-                break 'run;
-            }
-            if shared.settled.load(Ordering::Relaxed) {
-                break;
-            }
+    /// `stream_seed` is the run's master seed salted per pacing; the slot's
+    /// stream is derived from it and the process id alone, never from the
+    /// thread it runs on.
+    pub(crate) fn new(proc: ReactorProc<G, E>, stream_seed: u64) -> Self {
+        Slot {
+            pid: proc.pid,
+            engine: proc.engine,
+            endpoint: proc.endpoint,
+            crash_after: proc.crash_after,
+            rng: StdRng::seed_from_u64(derive_seed(stream_seed, RngStream::Process(proc.pid))),
+            pending: BinaryHeap::new(),
+            body: Vec::new(),
+            shared_body: Arc::new([]),
+            last_encoded: None,
+            steps: 0,
+            sent: 0,
+            crashed: false,
+            next_step_at: Duration::ZERO,
         }
-
-        // --- Step: deliver what is due this tick, run the engine, send. --
-        let mut active = false;
-        if !crashed {
-            due.clear();
-            while pending.peek().is_some_and(|p| p.deliver_tick <= tick) {
-                let Some(p) = pending.pop() else { break };
-                due.push(p);
-            }
-            if !due.is_empty() {
-                // One view-decode walk per body, batched unions inside the
-                // engine; a frame that fails to decode counts as an error
-                // here and delivers nothing, exactly as when polling
-                // validated eagerly.
-                let errors = engine.deliver_encoded(&due) as u64;
-                active = due.len() as u64 > errors;
-                shared
-                    .stats
-                    .decode_errors
-                    .fetch_add(errors, Ordering::Relaxed);
-                shared
-                    .stats
-                    .messages_delivered
-                    .fetch_add(due.len() as u64 - errors, Ordering::Relaxed);
-                due.clear();
-            }
-            if crash_after.is_some_and(|limit| steps >= limit) {
-                crashed = true;
-                pending.clear();
-            } else {
-                out.clear();
-                engine.local_step(&mut out);
-                steps += 1;
-                for (to, msg) in out.drain(..) {
-                    // A broadcast pushes clones of one message to many
-                    // targets; encode the body once per distinct message
-                    // into one shared buffer and only re-stamp the per-send
-                    // tick/seq head.
-                    if last_encoded.as_ref() != Some(&msg) {
-                        body.clear();
-                        msg.encode_into(&mut body);
-                        shared_body = Arc::from(body.as_slice());
-                        last_encoded = Some(msg);
-                    }
-                    // `d ≥ 1` is guaranteed by `LiveConfig::validate`.
-                    let delay = rng.gen_range(1..=d);
-                    head.clear();
-                    write_varint(&mut head, tick + delay);
-                    write_varint(&mut head, seq);
-                    seq += 1;
-                    active = true;
-                    shared.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .bytes_sent
-                        .fetch_add(body.len() as u64, Ordering::Relaxed);
-                    match endpoint.send_shared(to, &head, &shared_body) {
-                        Ok(SendOutcome::Sent) => {}
-                        // A frame the transport dropped will never be
-                        // polled: book it as consumed so the settle
-                        // handshake's sent == consumed invariant survives
-                        // peer death.
-                        Ok(SendOutcome::Lost) => {
-                            shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            shared.record_error(e);
-                            crashed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // Quiet = this node neither delivered nor sent this tick, holds no
-        // pending frames, and its engine will not send unprompted. The
-        // delivered/sent part matters: with `d = 1` an engine can absorb a
-        // delivery without reacting (a duplicate rumor), and without it two
-        // such ticks could read all-quiet while a reply was still in
-        // flight.
-        let quiet = crashed || (!active && pending.is_empty() && engine.is_quiescent());
-        shared.quiet[pid.index()].store(quiet, Ordering::Relaxed);
-
-        // --- Quiet check: the driver inspects the flags between the two
-        // barriers and decides whether the run is over. ------------------
-        barrier.wait();
-        barrier.wait();
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        tick += 1;
     }
 
-    NodeOutcome {
-        rumors: engine.rumors().clone(),
-        steps,
+    /// Whether the process's injected crash point has arrived.
+    pub(crate) fn crash_due(&self) -> bool {
+        self.crash_after.is_some_and(|limit| self.steps >= limit)
+    }
+
+    /// Whether the process holds no pending frames and its engine will not
+    /// send unprompted.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending.is_empty() && self.engine.is_quiescent()
+    }
+
+    /// Pushes queued outbound bytes (sockets write non-blockingly), then
+    /// replaces `frames` with whatever has arrived. Every frame taken off
+    /// the transport is booked as consumed, and so is every frame the flush
+    /// found lost to a dead peer — like a `Lost` send, it will never be
+    /// polled, and the settle handshake's sent == consumed invariant must
+    /// survive peer death.
+    pub(crate) fn poll(
+        &mut self,
+        shared: &SharedRun,
+        frames: &mut Vec<RawFrame>,
+    ) -> Result<(), RuntimeError> {
+        frames.clear();
+        let lost = self.endpoint.flush()?;
+        let polled = self.endpoint.poll_into(frames);
+        shared
+            .stats
+            .frames_consumed
+            .fetch_add(lost + frames.len() as u64, Ordering::Relaxed);
+        polled
+    }
+
+    /// Pops every pending frame due by `now` (the heap top is the earliest,
+    /// so this touches only due frames) and folds the batch into the engine
+    /// in one call: one view-decode walk per body, batched unions inside the
+    /// engine. A body that fails to decode is counted and delivers nothing.
+    /// Returns whether anything was delivered.
+    pub(crate) fn deliver_due(
+        &mut self,
+        shared: &SharedRun,
+        due: &mut Vec<Pending<T>>,
+        now: T,
+    ) -> bool {
+        due.clear();
+        while self.pending.peek().is_some_and(|p| p.at <= now) {
+            let Some(p) = self.pending.pop() else { break };
+            due.push(p);
+        }
+        if due.is_empty() {
+            return false;
+        }
+        let errors = self.engine.deliver_encoded(due) as u64;
+        let delivered = due.len() as u64 - errors;
+        shared
+            .stats
+            .decode_errors
+            .fetch_add(errors, Ordering::Relaxed);
+        shared
+            .stats
+            .messages_delivered
+            .fetch_add(delivered, Ordering::Relaxed);
+        due.clear();
+        delivered > 0
+    }
+
+    /// One local step: runs the engine and sends what it produced. A
+    /// broadcast pushes clones of one message to many targets, so the body
+    /// is encoded once per distinct message into one shared buffer and only
+    /// the per-send head is rewritten: `stamp(rng, seq, head)` fills the
+    /// cleared `head` for the process's `seq`-th message. Returns whether
+    /// anything was sent; on a transport error the rest of the step's output
+    /// is dropped.
+    pub(crate) fn step(
+        &mut self,
+        shared: &SharedRun,
+        out: &mut Vec<(ProcessId, G::Msg)>,
+        head: &mut Vec<u8>,
+        mut stamp: impl FnMut(&mut StdRng, u64, &mut Vec<u8>),
+    ) -> Result<bool, RuntimeError> {
+        out.clear();
+        self.engine.local_step(out);
+        self.steps += 1;
+        let sent_any = !out.is_empty();
+        for (to, msg) in out.drain(..) {
+            if self.last_encoded.as_ref() != Some(&msg) {
+                self.body.clear();
+                msg.encode_into(&mut self.body);
+                self.shared_body = Arc::from(self.body.as_slice());
+                self.last_encoded = Some(msg);
+            }
+            head.clear();
+            stamp(&mut self.rng, self.sent, head);
+            self.sent += 1;
+            shared.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .bytes_sent
+                .fetch_add(self.body.len() as u64, Ordering::Relaxed);
+            // A frame the transport dropped will never be polled: book it
+            // as consumed, as `poll` does for flush-discovered losses.
+            if self.endpoint.send_shared(to, head, &self.shared_body)? == SendOutcome::Lost {
+                shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(sent_any)
+    }
+
+    pub(crate) fn outcome(&self) -> (ProcessId, NodeOutcome) {
+        let outcome = NodeOutcome {
+            rumors: self.engine.rumors().clone(),
+            steps: self.steps,
+        };
+        (self.pid, outcome)
     }
 }
 
@@ -434,224 +402,5 @@ pub(crate) fn free_frame_body(frame: RawFrame) -> FrameBody {
         frame.into_body()
     } else {
         FrameBody::Owned(frame.payload_to_vec())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Free-running pacing
-// ---------------------------------------------------------------------------
-
-/// A validated, still-encoded message waiting out its injected wall-clock
-/// delay, deadline-indexed like the lockstep buffer (min-heap on
-/// `(deliver_after, seq)` with an arrival sequence for FIFO tie-breaking).
-/// Deadlines are elapsed time per the run's [`Clock`], not `Instant`s, so a
-/// fake clock can drive them in tests.
-pub(crate) struct PendingWall {
-    pub(crate) deliver_after: Duration,
-    pub(crate) seq: u64,
-    pub(crate) from: ProcessId,
-    /// The encoded message body (no tick/seq stamp under free pacing).
-    pub(crate) body: FrameBody,
-}
-
-impl EncodedFrame for PendingWall {
-    fn sender(&self) -> ProcessId {
-        self.from
-    }
-
-    fn body(&self) -> &[u8] {
-        self.body.as_slice()
-    }
-}
-
-impl PartialEq for PendingWall {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for PendingWall {}
-
-impl PartialOrd for PendingWall {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingWall {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .deliver_after
-            .cmp(&self.deliver_after)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Parameters of one free-running node thread.
-pub(crate) struct FreeNode<G, E> {
-    pub engine: G,
-    pub endpoint: E,
-    pub crash_after: Option<u64>,
-    pub seed: u64,
-    /// Upper bound on the injected per-message delivery delay (the role of
-    /// `d` in the model).
-    pub max_delay: Duration,
-    /// Upper bound on the pause between local steps (the role of `δ`).
-    pub max_step_pause: Duration,
-}
-
-/// Runs one node free-running until the driver raises the stop flag (or the
-/// node's crash point arrives — the thread then exits, dropping its
-/// endpoint, which is how its peers experience the crash).
-pub(crate) fn run_free_node<G, E>(node: FreeNode<G, E>, shared: &SharedRun) -> NodeOutcome
-where
-    G: GossipEngine,
-    G::Msg: WireCodec + WireDecodeView + PartialEq,
-    E: Endpoint,
-{
-    let FreeNode {
-        mut engine,
-        mut endpoint,
-        crash_after,
-        seed,
-        max_delay,
-        max_step_pause,
-    } = node;
-    let pid = endpoint.pid();
-    let mut rng = StdRng::seed_from_u64(derive_seed(seed ^ 0xA51C, RngStream::Process(pid)));
-    let mut pending: BinaryHeap<PendingWall> = BinaryHeap::new();
-    let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<PendingWall> = Vec::new();
-    let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
-    let mut body: Vec<u8> = Vec::new();
-    let mut shared_body: Arc<[u8]> = Arc::new([]);
-    let mut last_encoded: Option<G::Msg> = None;
-    let mut arrival_seq = 0u64;
-    let mut steps = 0u64;
-    let max_delay_us = max_delay.as_micros().max(1) as u64;
-    let max_pause_us = max_step_pause.as_micros().max(1) as u64;
-
-    'run: loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if crash_after.is_some_and(|limit| steps >= limit) {
-            break; // crash: halt permanently, deliver nothing further
-        }
-
-        // Push queued outbound bytes; flush-discovered losses are booked as
-        // consumed so the counters stay reconcilable.
-        match endpoint.flush() {
-            Ok(lost) => {
-                shared
-                    .stats
-                    .frames_consumed
-                    .fetch_add(lost, Ordering::Relaxed);
-            }
-            Err(e) => {
-                shared.record_error(e);
-                break;
-            }
-        }
-        // Drain the transport into the deadline-indexed delay buffer,
-        // drawing each frame's injected delay from the node's seeded stream.
-        frames.clear();
-        if let Err(e) = endpoint.poll_into(&mut frames) {
-            shared.record_error(e);
-            break;
-        }
-        let now = shared.clock.now();
-        shared
-            .stats
-            .frames_consumed
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-        for frame in frames.drain(..) {
-            let from = frame.from;
-            let body = free_frame_body(frame);
-            let delay = Duration::from_micros(rng.gen_range(0..=max_delay_us));
-            pending.push(PendingWall {
-                deliver_after: now + delay,
-                seq: arrival_seq,
-                from,
-                body,
-            });
-            arrival_seq += 1;
-        }
-
-        // Deliver everything whose injected delay has expired; the heap top
-        // is the earliest deadline, so this touches only due messages, and
-        // the whole due batch folds into the engine in one call (which also
-        // counts any body that fails to decode).
-        let now = shared.clock.now();
-        due.clear();
-        while pending.peek().is_some_and(|p| p.deliver_after <= now) {
-            let Some(p) = pending.pop() else { break };
-            due.push(p);
-        }
-        if !due.is_empty() {
-            let errors = engine.deliver_encoded(&due) as u64;
-            shared
-                .stats
-                .decode_errors
-                .fetch_add(errors, Ordering::Relaxed);
-            shared
-                .stats
-                .messages_delivered
-                .fetch_add(due.len() as u64 - errors, Ordering::Relaxed);
-            if due.len() as u64 > errors {
-                shared.touch();
-            }
-            due.clear();
-        }
-
-        // One local step.
-        out.clear();
-        engine.local_step(&mut out);
-        steps += 1;
-        for (to, msg) in out.drain(..) {
-            // As in the lockstep loop: a broadcast's clones of one message
-            // are encoded once into one shared buffer, not once per
-            // destination.
-            if last_encoded.as_ref() != Some(&msg) {
-                body.clear();
-                msg.encode_into(&mut body);
-                shared_body = Arc::from(body.as_slice());
-                last_encoded = Some(msg);
-            }
-            shared.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .bytes_sent
-                .fetch_add(body.len() as u64, Ordering::Relaxed);
-            shared.touch();
-            match endpoint.send_shared(to, &[], &shared_body) {
-                Ok(SendOutcome::Sent) => {}
-                // Book transport-dropped frames as consumed, as in the
-                // lockstep loop, so the counters stay reconcilable.
-                Ok(SendOutcome::Lost) => {
-                    shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    shared.record_error(e);
-                    break 'run;
-                }
-            }
-        }
-
-        shared.quiet[pid.index()].store(
-            engine.is_quiescent() && pending.is_empty(),
-            Ordering::Relaxed,
-        );
-
-        // Pace the next step (the role of δ).
-        std::thread::sleep(Duration::from_micros(rng.gen_range(0..=max_pause_us)));
-    }
-
-    // Whether the node crashed or the run is over, it will never send again:
-    // mark it quiescent so the driver is not blocked on a crashed node.
-    shared.quiet[pid.index()].store(true, Ordering::Relaxed);
-    NodeOutcome {
-        rumors: engine.rumors().clone(),
-        steps,
     }
 }

@@ -13,9 +13,9 @@
 //!   (the [`agossip_core::codec`] wire format) — in-process channels, or
 //!   loopback TCP / Unix-domain sockets with kernel-level framing;
 //! * each process runs an event loop that decodes frames, drives the
-//!   engine and encodes its output — either one OS thread per process, or
-//!   many processes multiplexed onto a handful of [`reactor`] threads
-//!   ([`driver::Threading`]);
+//!   engine and encodes its output; [`reactor`] threads carry the
+//!   processes, anywhere from one thread each to all of them on a single
+//!   thread ([`driver::Threading`]) — one loop family either way;
 //! * the [`driver::LiveDriver`-style entry point][driver::run_live] runs
 //!   `n` concurrent processes to gossip completion under either
 //!   deterministic lockstep pacing (bit-identical per seed, for any
@@ -34,9 +34,6 @@
 //! * the injected per-message delay bound plays the role of `d`;
 //! * the per-node pacing jitter plays the role of `δ`;
 //! * crash injection halts a node permanently.
-//!
-//! The original [`harness::run_threaded`] API survives as a veneer over
-//! [`driver::run_live`].
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms, unreachable_pub)]
@@ -46,7 +43,6 @@ pub mod clock;
 pub mod driver;
 mod error;
 mod event_loop;
-pub mod harness;
 pub mod reactor;
 pub mod service;
 pub mod transport;
@@ -57,7 +53,6 @@ pub use driver::{
 };
 pub use error::{ConfigError, RuntimeError};
 pub use event_loop::RunStats;
-pub use harness::{run_threaded, RuntimeConfig, RuntimeReport};
 pub use service::{run_service, run_service_with_clock, EpochReport, ServiceConfig, ServiceReport};
 pub use transport::{
     frame_bytes, ChannelTransport, Endpoint, FrameBuf, RawFrame, SendOutcome, SocketKind,

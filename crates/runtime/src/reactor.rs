@@ -1,19 +1,20 @@
-//! The reactor: many multiplexed processes per event-loop thread.
+//! The reactor: the event-loop thread, and the only one — every process of
+//! a live run is a `Slot` on some reactor.
 //!
-//! PR 5's live runtime spends one OS thread per process, which caps live
-//! experiments near the machine's thread budget while the simulator already
-//! verifies n = 65 536. A reactor inverts the ownership: one event-loop
-//! thread owns *all* the endpoints of the processes pinned to it and drives
-//! them with level-triggered readiness polling — every iteration it makes
-//! non-blocking write progress (batched flushes against each connection's
-//! backpressure queue), drains whatever bytes have arrived (the socket
-//! endpoints reassemble frames incrementally through
+//! One event-loop thread owns *all* the endpoints of the processes pinned to
+//! it and drives them with level-triggered readiness polling — every
+//! iteration it makes non-blocking write progress (batched flushes against
+//! each connection's backpressure queue), drains whatever bytes have arrived
+//! (the socket endpoints reassemble frames incrementally through
 //! [`crate::transport::FrameBuf`]), routes each decoded envelope into the
 //! addressed process's in-memory inbox (a deadline-indexed pending heap),
 //! and steps the engines whose turn has come. With `reactors = r`, process
 //! `p` is pinned to reactor `p mod r` — a static assignment, so a process's
 //! endpoint never migrates across threads and no locking is needed around
-//! any per-process state.
+//! any per-process state. `r = n` is one OS thread per process
+//! ([`crate::driver::Threading::PerProcess`]); a handful of reactors carry
+//! thousands of processes, where a thread each would cap live runs near the
+//! machine's thread budget while the simulator already verifies n = 65 536.
 //!
 //! There is no epoll here on purpose: the workspace forbids `unsafe` and
 //! vendors no FFI crates, so readiness is discovered by polling nonblocking
@@ -22,57 +23,62 @@
 //! epoll wakeup storm would degrade to; the architectural payoff — thousands
 //! of processes on a handful of threads — is identical.
 //!
-//! ## Determinism
+//! There is one loop body per *pacing* discipline (see
+//! [`crate::driver::Pacing`]); what a slot does when its turn comes is the
+//! same in both and lives in `event_loop.rs`.
 //!
-//! Lockstep pacing survives multiplexing *bit-identically*: the settle
-//! handshake (all frames consumed before anyone steps) and the
-//! `(deliver_tick, from, seq)` delivery order are both independent of which
-//! thread polls an endpoint or in which order slots are swept, and every
-//! per-process RNG stream is derived from the process id exactly as in the
-//! thread-per-process loops. A lockstep run at a given seed therefore
-//! produces the same outcome across repeats, across reactor counts, and
-//! across `Threading::PerProcess` vs `Threading::Reactor` — the golden-
-//! digest regression test pins this.
+//! ## Lockstep: `run_lockstep_reactor`
 //!
-//! Free-running pacing keeps real nondeterminism: slots step when their
-//! wall-clock (or [`crate::Clock`]-injected) deadlines expire, and the
-//! interleaving across reactor threads is whatever the scheduler does.
+//! Barrier-paced ticks with seeded per-message delays in `1..=d` ticks,
+//! mirroring the simulator's `(d, δ)` model with `δ = 1`. Each tick starts
+//! with a *settle* handshake: reactors drain their transports in poll-only
+//! rounds until the driver observes that every frame handed to the
+//! transport has been taken off it (`messages_sent == frames_consumed`).
+//! Channels settle in one round; kernel transports (loopback TCP/UDS) may
+//! buffer a frame past one poll, and without the handshake a late frame
+//! would change the execution — or be lost entirely if the run stopped
+//! while it was in transit. With it, determinism and no-loss hold on *any*
+//! transport.
+//!
+//! The settle handshake and the `(deliver_tick, from, seq)` delivery order
+//! are both independent of which thread polls an endpoint or in which order
+//! slots are swept, and every per-process RNG stream is derived from the
+//! process id alone. A lockstep run at a given seed therefore produces the
+//! same outcome across repeats and across reactor counts, `r = n` included
+//! — the golden-digest regression test pins this.
+//!
+//! ## Free-running: `run_free_reactor`
+//!
+//! Real nondeterminism: a slot steps when its random sub-millisecond pause
+//! has elapsed, delivers a frame when its random injected delay has (both
+//! read through the run's [`crate::Clock`]), and the interleaving across
+//! reactor threads is whatever the scheduler does. Nothing synchronises the
+//! threads.
 //!
 //! ## Crash injection
 //!
 //! Crashing a multiplexed process must not tear down the reactor that hosts
-//! it. Under free-running pacing the reactor *deregisters* the slot: the
-//! endpoint is dropped (peers' sends turn into message loss, exactly as if
-//! the process's thread had exited) and the slot is skipped from then on.
-//! Under lockstep the slot becomes a zombie that keeps draining its
-//! transport but delivers and sends nothing — the same observable semantics
-//! as the thread-per-process zombie, preserving the settle invariant.
+//! it. Under free-running pacing the reactor *deregisters* the slot: it is
+//! dropped, endpoint included (peers' sends turn into message loss), and the
+//! reactor's other slots run on. Under lockstep the slot becomes a zombie
+//! that keeps draining its transport but delivers and sends nothing — a
+//! frame addressed to it must still be consumed, or the settle invariant
+//! would never hold again.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use agossip_core::codec::write_varint;
 use agossip_core::{GossipEngine, WireCodec, WireDecodeView};
-use agossip_sim::rng::{derive_seed, RngStream};
 use agossip_sim::ProcessId;
 
 use crate::event_loop::{
-    free_frame_body, parse_lockstep_frame, NodeOutcome, PendingTick, PendingWall, SharedRun,
+    free_frame_body, parse_lockstep_frame, NodeOutcome, Pending, ReactorProc, SharedRun, Slot,
 };
-use crate::transport::{Endpoint, RawFrame, SendOutcome};
-
-/// One process handed to a reactor: its engine, its endpoint, and its crash
-/// point.
-pub(crate) struct ReactorProc<G, E> {
-    pub engine: G,
-    pub endpoint: E,
-    pub crash_after: Option<u64>,
-}
+use crate::transport::{Endpoint, RawFrame};
 
 /// Pins process `pid` to one of `reactors` event-loop threads.
 pub(crate) fn reactor_of(pid: ProcessId, reactors: usize) -> usize {
@@ -84,34 +90,12 @@ pub(crate) fn reactor_of(pid: ProcessId, reactors: usize) -> usize {
 /// bounds the configs use.
 const IDLE_SWEEP_PAUSE: Duration = Duration::from_micros(100);
 
-// ---------------------------------------------------------------------------
-// Lockstep reactor
-// ---------------------------------------------------------------------------
-
-/// Per-slot state of one lockstep-multiplexed process: exactly the locals
-/// of `run_lockstep_node`, hoisted into a struct so one thread can hold
-/// many of them. The tick counter is reactor-wide (every slot is always at
-/// the same tick — that is what the barrier enforces).
-struct LockstepSlot<G: GossipEngine, E> {
-    pid: ProcessId,
-    engine: G,
-    endpoint: E,
-    crash_after: Option<u64>,
-    rng: StdRng,
-    pending: BinaryHeap<PendingTick>,
-    body: Vec<u8>,
-    shared_body: Arc<[u8]>,
-    last_encoded: Option<G::Msg>,
-    steps: u64,
-    seq: u64,
-    crashed: bool,
-}
-
 /// Runs one reactor thread's worth of lockstep slots until the driver
-/// raises the stop flag. Mirrors `run_lockstep_node` phase for phase; the
-/// barrier participant is the reactor thread, not the individual process.
+/// raises the stop flag. The barrier participant is the reactor thread, not
+/// the individual process, and the tick counter is reactor-wide (every slot
+/// is always at the same tick — that is what the barrier enforces).
 pub(crate) fn run_lockstep_reactor<G, E>(
-    procs: Vec<(ProcessId, ReactorProc<G, E>)>,
+    procs: Vec<ReactorProc<G, E>>,
     seed: u64,
     d: u64,
     shared: &SharedRun,
@@ -122,71 +106,42 @@ where
     G::Msg: WireCodec + WireDecodeView + PartialEq,
     E: Endpoint,
 {
-    let mut slots: Vec<LockstepSlot<G, E>> = procs
+    let mut slots: Vec<Slot<G, E, u64>> = procs
         .into_iter()
-        .map(|(pid, p)| LockstepSlot {
-            pid,
-            engine: p.engine,
-            endpoint: p.endpoint,
-            crash_after: p.crash_after,
-            rng: StdRng::seed_from_u64(derive_seed(seed ^ 0x11FE, RngStream::Process(pid))),
-            pending: BinaryHeap::new(),
-            body: Vec::new(),
-            shared_body: Arc::new([]),
-            last_encoded: None,
-            steps: 0,
-            seq: 0,
-            crashed: false,
-        })
+        .map(|proc| Slot::new(proc, seed ^ 0x11FE))
         .collect();
     let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<PendingTick> = Vec::new();
+    let mut due: Vec<Pending<u64>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
     let mut head: Vec<u8> = Vec::new();
     let mut tick = 0u64;
 
     'run: loop {
         // --- Settle: sweep every slot's transport in poll-only rounds
-        // until the driver observes every sent frame consumed. -------------
+        // until the driver observes every sent frame consumed (one round on
+        // channels; kernel transports may need more). ---------------------
         loop {
             for slot in slots.iter_mut() {
-                match slot.endpoint.flush() {
-                    Ok(lost) => {
-                        shared
-                            .stats
-                            .frames_consumed
-                            .fetch_add(lost, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        shared.record_error(e);
-                        slot.crashed = true;
-                    }
-                }
-                frames.clear();
-                if let Err(e) = slot.endpoint.poll_into(&mut frames) {
+                if let Err(e) = slot.poll(shared, &mut frames) {
                     shared.record_error(e);
-                    slot.crashed = true;
+                    slot.crashed = true; // keep participating in barriers
                 }
-                shared
-                    .stats
-                    .frames_consumed
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
                 if slot.crashed {
                     // Zombie: consumes and discards — see the module docs.
                     frames.clear();
-                } else {
-                    for frame in frames.drain(..) {
-                        match parse_lockstep_frame(&frame) {
-                            Ok((deliver_tick, msg_seq, msg_at)) => slot.pending.push(PendingTick {
-                                deliver_tick,
-                                from: frame.from,
-                                seq: msg_seq,
-                                body: frame.into_body(),
-                                msg_at,
-                            }),
-                            Err(_) => {
-                                shared.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            }
+                    continue;
+                }
+                for frame in frames.drain(..) {
+                    match parse_lockstep_frame(&frame) {
+                        Ok((deliver_tick, seq, msg_at)) => slot.pending.push(Pending {
+                            at: deliver_tick,
+                            from: frame.from,
+                            seq,
+                            body: frame.into_body(),
+                            msg_at,
+                        }),
+                        Err(_) => {
+                            shared.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -201,78 +156,41 @@ where
             }
         }
 
-        // --- Step every slot, in pid order within this reactor. ----------
+        // --- Step every slot, in pid order within this reactor: deliver
+        // what is due this tick, run the engine, send. --------------------
         for slot in slots.iter_mut() {
             let mut active = false;
             if !slot.crashed {
-                due.clear();
-                while slot.pending.peek().is_some_and(|p| p.deliver_tick <= tick) {
-                    let Some(p) = slot.pending.pop() else { break };
-                    due.push(p);
-                }
-                if !due.is_empty() {
-                    // One view-decode walk per body, batched unions inside
-                    // the engine; a frame that fails to decode counts as an
-                    // error here and delivers nothing, exactly as when
-                    // polling validated eagerly.
-                    let errors = slot.engine.deliver_encoded(&due) as u64;
-                    active = due.len() as u64 > errors;
-                    shared
-                        .stats
-                        .decode_errors
-                        .fetch_add(errors, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .messages_delivered
-                        .fetch_add(due.len() as u64 - errors, Ordering::Relaxed);
-                    due.clear();
-                }
-                if slot.crash_after.is_some_and(|limit| slot.steps >= limit) {
+                active = slot.deliver_due(shared, &mut due, tick);
+                if slot.crash_due() {
                     slot.crashed = true;
                     slot.pending.clear();
                 } else {
-                    out.clear();
-                    slot.engine.local_step(&mut out);
-                    slot.steps += 1;
-                    for (to, msg) in out.drain(..) {
-                        if slot.last_encoded.as_ref() != Some(&msg) {
-                            slot.body.clear();
-                            msg.encode_into(&mut slot.body);
-                            slot.shared_body = Arc::from(slot.body.as_slice());
-                            slot.last_encoded = Some(msg);
-                        }
+                    let stepped = slot.step(shared, &mut out, &mut head, |rng, seq, head| {
                         // `d ≥ 1` is guaranteed by `LiveConfig::validate`.
-                        let delay = slot.rng.gen_range(1..=d);
-                        head.clear();
-                        write_varint(&mut head, tick + delay);
-                        write_varint(&mut head, slot.seq);
-                        slot.seq += 1;
-                        active = true;
-                        shared.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .bytes_sent
-                            .fetch_add(slot.body.len() as u64, Ordering::Relaxed);
-                        match slot.endpoint.send_shared(to, &head, &slot.shared_body) {
-                            Ok(SendOutcome::Sent) => {}
-                            Ok(SendOutcome::Lost) => {
-                                shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                shared.record_error(e);
-                                slot.crashed = true;
-                                break;
-                            }
+                        write_varint(head, tick + rng.gen_range(1..=d));
+                        write_varint(head, seq);
+                    });
+                    match stepped {
+                        Ok(sent) => active |= sent,
+                        Err(e) => {
+                            shared.record_error(e);
+                            slot.crashed = true;
                         }
                     }
                 }
             }
-            let quiet =
-                slot.crashed || (!active && slot.pending.is_empty() && slot.engine.is_quiescent());
+            // Quiet = this slot neither delivered nor sent this tick and is
+            // idle. The delivered/sent part matters: with `d = 1` an engine
+            // can absorb a delivery without reacting (a duplicate rumor),
+            // and without it two such ticks could read all-quiet while a
+            // reply was still in flight.
+            let quiet = slot.crashed || (!active && slot.is_idle());
             shared.quiet[slot.pid.index()].store(quiet, Ordering::Relaxed);
         }
 
-        // --- Quiet check: driver inspects the flags between the barriers. -
+        // --- Quiet check: the driver inspects the flags between the two
+        // barriers and decides whether the run is over. ------------------
         barrier.wait();
         barrier.wait();
         if shared.stop.load(Ordering::Relaxed) {
@@ -281,48 +199,13 @@ where
         tick += 1;
     }
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            (
-                slot.pid,
-                NodeOutcome {
-                    rumors: slot.engine.rumors().clone(),
-                    steps: slot.steps,
-                },
-            )
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Free-running reactor
-// ---------------------------------------------------------------------------
-
-/// Per-slot state of one free-running multiplexed process. The endpoint is
-/// an `Option`: crash injection deregisters the slot by dropping it (see
-/// the module docs), after which the slot is inert.
-struct FreeSlot<G: GossipEngine, E> {
-    pid: ProcessId,
-    engine: G,
-    endpoint: Option<E>,
-    crash_after: Option<u64>,
-    rng: StdRng,
-    pending: BinaryHeap<PendingWall>,
-    body: Vec<u8>,
-    shared_body: Arc<[u8]>,
-    last_encoded: Option<G::Msg>,
-    arrival_seq: u64,
-    steps: u64,
-    /// The slot takes its next local step once the run clock passes this —
-    /// the multiplexed replacement for the per-thread random step pause.
-    next_step_at: Duration,
+    slots.iter().map(Slot::outcome).collect()
 }
 
 /// Runs one reactor thread's worth of free-running slots until the driver
-/// raises the stop flag.
+/// raises the stop flag or every one of them has crashed.
 pub(crate) fn run_free_reactor<G, E>(
-    procs: Vec<(ProcessId, ReactorProc<G, E>)>,
+    procs: Vec<ReactorProc<G, E>>,
     seed: u64,
     max_delay: Duration,
     max_step_pause: Duration,
@@ -335,171 +218,79 @@ where
 {
     let max_delay_us = max_delay.as_micros().max(1) as u64;
     let max_pause_us = max_step_pause.as_micros().max(1) as u64;
-    let mut slots: Vec<FreeSlot<G, E>> = procs
+    let mut slots: Vec<Slot<G, E, Duration>> = procs
         .into_iter()
-        .map(|(pid, p)| FreeSlot {
-            pid,
-            engine: p.engine,
-            endpoint: Some(p.endpoint),
-            crash_after: p.crash_after,
-            rng: StdRng::seed_from_u64(derive_seed(seed ^ 0xA51C, RngStream::Process(pid))),
-            pending: BinaryHeap::new(),
-            body: Vec::new(),
-            shared_body: Arc::new([]),
-            last_encoded: None,
-            arrival_seq: 0,
-            steps: 0,
-            next_step_at: Duration::ZERO,
-        })
+        .map(|proc| Slot::new(proc, seed ^ 0xA51C))
         .collect();
+    let mut outcomes: Vec<(ProcessId, NodeOutcome)> = Vec::with_capacity(slots.len());
     let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<PendingWall> = Vec::new();
+    let mut due: Vec<Pending<Duration>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
+    let mut head: Vec<u8> = Vec::new();
+    let mut arrival_seq = 0u64;
 
-    while !shared.stop.load(Ordering::Relaxed) {
+    while !slots.is_empty() && !shared.stop.load(Ordering::Relaxed) {
         let mut any_active = false;
-        for slot in slots.iter_mut() {
-            let Some(endpoint) = slot.endpoint.as_mut() else {
-                continue; // deregistered (crashed): inert, reactor unharmed
-            };
-            if slot.crash_after.is_some_and(|limit| slot.steps >= limit) {
-                // Deregister: drop the endpoint so peers see message loss,
-                // keep the reactor and its other slots running.
-                slot.endpoint = None;
-                slot.pending.clear();
-                shared.quiet[slot.pid.index()].store(true, Ordering::Relaxed);
-                continue;
-            }
-
-            match endpoint.flush() {
-                Ok(lost) => {
-                    shared
-                        .stats
-                        .frames_consumed
-                        .fetch_add(lost, Ordering::Relaxed);
+        slots.retain_mut(|slot| {
+            let alive = 'sweep: {
+                if slot.crash_due() {
+                    break 'sweep false;
                 }
-                Err(e) => {
+                if let Err(e) = slot.poll(shared, &mut frames) {
                     shared.record_error(e);
-                    slot.endpoint = None;
-                    shared.quiet[slot.pid.index()].store(true, Ordering::Relaxed);
-                    continue;
+                    break 'sweep false;
                 }
-            }
-            frames.clear();
-            if let Err(e) = endpoint.poll_into(&mut frames) {
-                shared.record_error(e);
-                slot.endpoint = None;
-                shared.quiet[slot.pid.index()].store(true, Ordering::Relaxed);
-                continue;
-            }
-            let now = shared.clock.now();
-            shared
-                .stats
-                .frames_consumed
-                .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            for frame in frames.drain(..) {
-                let from = frame.from;
-                let body = free_frame_body(frame);
-                let delay = Duration::from_micros(slot.rng.gen_range(0..=max_delay_us));
-                slot.pending.push(PendingWall {
-                    deliver_after: now + delay,
-                    seq: slot.arrival_seq,
-                    from,
-                    body,
-                });
-                slot.arrival_seq += 1;
-            }
-
-            // Deliver everything whose injected delay has expired, as one
-            // batch folded into the engine (which also counts any body that
-            // fails to decode).
-            let now = shared.clock.now();
-            due.clear();
-            while slot.pending.peek().is_some_and(|p| p.deliver_after <= now) {
-                let Some(p) = slot.pending.pop() else { break };
-                due.push(p);
-            }
-            if !due.is_empty() {
-                let errors = slot.engine.deliver_encoded(&due) as u64;
-                shared
-                    .stats
-                    .decode_errors
-                    .fetch_add(errors, Ordering::Relaxed);
-                shared
-                    .stats
-                    .messages_delivered
-                    .fetch_add(due.len() as u64 - errors, Ordering::Relaxed);
-                if due.len() as u64 > errors {
-                    any_active = true;
-                    shared.touch();
+                // Route arrivals into the deadline-indexed delay buffer,
+                // drawing each frame's injected delay (the role of `d`) from
+                // the slot's seeded stream.
+                let now = shared.clock.now();
+                for frame in frames.drain(..) {
+                    let delay = Duration::from_micros(slot.rng.gen_range(0..=max_delay_us));
+                    slot.pending.push(Pending {
+                        at: now + delay,
+                        from: frame.from,
+                        seq: arrival_seq,
+                        body: free_frame_body(frame),
+                        msg_at: 0,
+                    });
+                    arrival_seq += 1;
                 }
-                due.clear();
-            }
-
-            // One local step, if this slot's pause has elapsed.
-            if now >= slot.next_step_at {
-                out.clear();
-                slot.engine.local_step(&mut out);
-                slot.steps += 1;
-                slot.next_step_at =
-                    now + Duration::from_micros(slot.rng.gen_range(0..=max_pause_us));
-                for (to, msg) in out.drain(..) {
-                    if slot.last_encoded.as_ref() != Some(&msg) {
-                        slot.body.clear();
-                        msg.encode_into(&mut slot.body);
-                        slot.shared_body = Arc::from(slot.body.as_slice());
-                        slot.last_encoded = Some(msg);
-                    }
-                    any_active = true;
-                    shared.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .bytes_sent
-                        .fetch_add(slot.body.len() as u64, Ordering::Relaxed);
-                    shared.touch();
-                    match endpoint.send_shared(to, &[], &slot.shared_body) {
-                        Ok(SendOutcome::Sent) => {}
-                        Ok(SendOutcome::Lost) => {
-                            shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
-                        }
+                let mut active = slot.deliver_due(shared, &mut due, now);
+                if now >= slot.next_step_at {
+                    let pause = Duration::from_micros(slot.rng.gen_range(0..=max_pause_us));
+                    slot.next_step_at = now + pause;
+                    match slot.step(shared, &mut out, &mut head, |_, _, _| {}) {
+                        Ok(sent) => active |= sent,
                         Err(e) => {
                             shared.record_error(e);
-                            slot.endpoint = None;
-                            break;
+                            break 'sweep false;
                         }
                     }
                 }
+                if active {
+                    any_active = true;
+                    shared.touch();
+                }
+                true
+            };
+            // Deregistered (crash point reached, or its endpoint failed):
+            // it will never send again, so the driver must not wait on it.
+            let quiet = !alive || slot.is_idle();
+            shared.quiet[slot.pid.index()].store(quiet, Ordering::Relaxed);
+            if !alive {
+                outcomes.push(slot.outcome());
             }
-
-            if slot.endpoint.is_some() {
-                shared.quiet[slot.pid.index()].store(
-                    slot.engine.is_quiescent() && slot.pending.is_empty(),
-                    Ordering::Relaxed,
-                );
-            } else {
-                shared.quiet[slot.pid.index()].store(true, Ordering::Relaxed);
-            }
-        }
-
+            alive
+        });
         if !any_active {
             std::thread::sleep(IDLE_SWEEP_PAUSE);
         }
     }
 
-    // Run over (or slots crashed): nothing here will send again.
-    for slot in slots.iter() {
+    // Run over: nothing here will send again.
+    for slot in &slots {
         shared.quiet[slot.pid.index()].store(true, Ordering::Relaxed);
+        outcomes.push(slot.outcome());
     }
-    slots
-        .into_iter()
-        .map(|slot| {
-            (
-                slot.pid,
-                NodeOutcome {
-                    rumors: slot.engine.rumors().clone(),
-                    steps: slot.steps,
-                },
-            )
-        })
-        .collect()
+    outcomes
 }

@@ -11,10 +11,12 @@
 //! runs an [`EpochMux`] (one inner engine per open epoch, multiplexed over
 //! the node's single transport endpoint via `EpochMsg` envelope frames),
 //! and driver ↔ node coordination travels through a shared [`EpochBoard`]
-//! (admission frontier, per-epoch activity clocks, harvest cells). The node
-//! event loops and reactor threads are **unchanged** — an `EpochMux` is
-//! just another [`GossipEngine`], so the same lockstep barrier protocol and
-//! free-running loops that drive one-shot runs drive service runs too.
+//! (admission frontier, per-epoch activity clocks, harvest cells). The
+//! reactor threads are **unchanged** — an `EpochMux` is just another
+//! [`GossipEngine`], so the same lockstep barrier protocol and free-running
+//! loop that drive one-shot runs drive service runs too, through the same
+//! `run_processes`; only what the driver does each time it looks at the
+//! run differs (the epoch state machine instead of a quiet check).
 //!
 //! ## Epoch lifecycle
 //!
@@ -48,8 +50,7 @@
 //! [`service_open_upto`]: agossip_core::service_open_upto
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
 use agossip_core::{
@@ -59,15 +60,10 @@ use agossip_core::{
 use agossip_sim::ProcessId;
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::driver::{join_nodes, join_reactors, pin_to_reactors, LiveConfig, Pacing, Threading};
+use crate::driver::{run_processes, LiveConfig, Pacing};
 use crate::error::{ConfigError, RuntimeError};
-use crate::event_loop::{run_free_node, run_lockstep_node, FreeNode, LockstepNode, SharedRun};
-use crate::reactor::{run_free_reactor, run_lockstep_reactor};
+use crate::event_loop::SharedRun;
 use crate::transport::Transport;
-
-/// Upper bound on poll-only settle rounds per lockstep tick (see
-/// [`crate::driver`]); service runs use the same transport guarantee.
-const MAX_SETTLE_ROUNDS: u64 = 100_000;
 
 /// Configuration of a service run: a [`LiveConfig`] (processes, pacing,
 /// threading, crashes — build one with [`LiveConfig::builder`]) plus the
@@ -487,106 +483,31 @@ where
         })
         .collect();
 
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    let mut tracker;
-    let outcomes = match (&config.live.pacing, config.live.threading) {
-        (&Pacing::Lockstep { d, max_ticks }, Threading::PerProcess) => {
-            tracker = ServiceTracker::new(config, Arc::clone(&board), d, true);
-            let barrier = Barrier::new(n + 1);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in muxes.into_iter().zip(endpoints).enumerate() {
-                    let node = LockstepNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.live.crash_after(ProcessId(pid)),
-                        seed,
-                        d,
-                    };
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(scope.spawn(move || run_lockstep_node(node, shared, barrier)));
-                }
-                (quiescent, ticks) =
-                    drive_service_lockstep(&barrier, &shared, &mut tracker, max_ticks);
-                join_nodes(handles, &shared)
-            })
-        }
-        (&Pacing::Lockstep { d, max_ticks }, Threading::Reactor { reactors }) => {
-            tracker = ServiceTracker::new(config, Arc::clone(&board), d, true);
-            let r = reactors.min(n);
-            let barrier = Barrier::new(r + 1);
-            let groups = pin_to_reactors(&config.live, muxes, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(
-                        scope.spawn(move || run_lockstep_reactor(group, seed, d, shared, barrier)),
-                    );
-                }
-                (quiescent, ticks) =
-                    drive_service_lockstep(&barrier, &shared, &mut tracker, max_ticks);
-                join_reactors(handles, n, &shared)
-            })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::PerProcess,
-        ) => {
+    // Settle margin: `d` ticks under lockstep, the quiet period (ms)
+    // free-running.
+    let mut tracker = match config.live.pacing {
+        Pacing::Lockstep { d, .. } => ServiceTracker::new(config, Arc::clone(&board), d, true),
+        Pacing::FreeRunning { quiet_period, .. } => {
             let margin = quiet_period.as_millis() as u64;
-            tracker = ServiceTracker::new(config, Arc::clone(&board), margin, false);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in muxes.into_iter().zip(endpoints).enumerate() {
-                    let node = FreeNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.live.crash_after(ProcessId(pid)),
-                        seed,
-                        max_delay,
-                        max_step_pause,
-                    };
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || run_free_node(node, shared)));
-                }
-                quiescent = drive_service_free(&shared, &mut tracker, max_duration);
-                join_nodes(handles, &shared)
-            })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::Reactor { reactors },
-        ) => {
-            let margin = quiet_period.as_millis() as u64;
-            tracker = ServiceTracker::new(config, Arc::clone(&board), margin, false);
-            let r = reactors.min(n);
-            let groups = pin_to_reactors(&config.live, muxes, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || {
-                        run_free_reactor(group, seed, max_delay, max_step_pause, shared)
-                    }));
-                }
-                quiescent = drive_service_free(&shared, &mut tracker, max_duration);
-                join_reactors(handles, n, &shared)
-            })
+            ServiceTracker::new(config, Arc::clone(&board), margin, false)
         }
     };
+    // Processes read the admission frontier during their first local step,
+    // before the driver's first look at the run — so the first epochs are
+    // admitted before anything is spawned.
+    board.set_now(0);
+    tracker.admit(0);
+    // Each look runs the epoch state machine instead of a quiet check:
+    // finalize settled epochs, detect newly settled ones, advance driver
+    // time and publish the admission frontier for the time the processes
+    // are about to compute. The run is complete when every epoch has
+    // finalized.
+    let (outcomes, quiescent, ticks) =
+        run_processes(&config.live, muxes, endpoints, &shared, |now, next| {
+            board.set_now(next);
+            tracker.step(now, next)?;
+            Ok(tracker.done())
+        });
 
     if let Some(error) = shared.first_error.lock().take() {
         return Err(error);
@@ -608,113 +529,10 @@ where
     })
 }
 
-/// The service variant of the lockstep driver: the identical settle / quiet
-/// barrier protocol (nodes can't tell the difference), but between the two
-/// quiet-check barriers — with every node parked — the driver runs the
-/// epoch state machine instead of counting quiet streaks: finalize settled
-/// epochs, detect newly-settled ones, advance driver time, publish the
-/// admission frontier for the tick the nodes are about to compute. The run
-/// stops when every epoch has finalized (or on error / tick limit).
-fn drive_service_lockstep(
-    barrier: &Barrier,
-    shared: &SharedRun,
-    svc: &mut ServiceTracker,
-    max_ticks: u64,
-) -> (bool, u64) {
-    // Nodes read the admission frontier during their first local step
-    // (tick 0), which happens before the first quiet-check window — so the
-    // first epochs are admitted before the tick loop begins.
-    svc.board.set_now(0);
-    svc.admit(0);
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    'ticks: loop {
-        // Settle rounds — byte-identical to the one-shot driver's.
-        let mut settle_rounds = 0u64;
-        loop {
-            barrier.wait(); // nodes have polled
-            let sent = shared.stats.messages_sent.load(Ordering::Relaxed);
-            let consumed = shared.stats.frames_consumed.load(Ordering::Relaxed);
-            let settled = sent == consumed;
-            shared.settled.store(settled, Ordering::Relaxed);
-            settle_rounds += 1;
-            if settle_rounds > MAX_SETTLE_ROUNDS {
-                shared.record_error(RuntimeError::Config(format!(
-                    "transport failed to settle: {consumed}/{sent} frames \
-                     consumed after {settle_rounds} poll rounds"
-                )));
-            }
-            if shared.has_error() {
-                shared.stop.store(true, Ordering::Relaxed);
-            }
-            let stopping = shared.stop.load(Ordering::Relaxed);
-            barrier.wait(); // verdict published
-            if stopping {
-                break 'ticks;
-            }
-            if settled {
-                break;
-            }
-            thread::yield_now();
-        }
-        // Quiet-check window: nodes are parked between these two waits.
-        barrier.wait();
-        ticks += 1;
-        let t = ticks - 1; // the tick the nodes just computed
-        if let Err(error) = svc.step(t, t + 1) {
-            shared.record_error(error);
-        }
-        svc.board.set_now(t + 1);
-        if svc.done() {
-            quiescent = true;
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        if ticks >= max_ticks || shared.has_error() {
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        barrier.wait();
-        if stopping {
-            break;
-        }
-    }
-    (quiescent, ticks)
-}
-
-/// The service variant of the free-running driver: poll the board on the
-/// millisecond clock, run the epoch state machine, stop when every epoch
-/// has finalized (or on error / stall / the clock limit).
-fn drive_service_free(
-    shared: &SharedRun,
-    svc: &mut ServiceTracker,
-    max_duration: Duration,
-) -> bool {
-    svc.board.set_now(0);
-    svc.admit(0);
-    let mut quiescent = false;
-    loop {
-        thread::sleep(Duration::from_millis(5));
-        let now = shared.elapsed().as_millis() as u64;
-        svc.board.set_now(now);
-        if shared.elapsed() >= max_duration || shared.has_error() {
-            break;
-        }
-        if let Err(error) = svc.step(now, now) {
-            shared.record_error(error);
-            break;
-        }
-        if svc.done() {
-            quiescent = true;
-            break;
-        }
-    }
-    shared.stop.store(true, Ordering::Relaxed);
-    quiescent
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Threading;
     use crate::transport::ChannelTransport;
     use agossip_core::{percentile, Ears, Tears, Trivial, TrivialMessage};
     use agossip_sim::ProcessId;

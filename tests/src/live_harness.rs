@@ -212,8 +212,8 @@ where
     })
 }
 
-/// The threading disciplines every differential case should survive: the
-/// PR 5 thread-per-process runtime and a small multi-reactor configuration.
+/// The threading disciplines every differential case should survive: one
+/// thread per process (`r = n`) and a small multi-reactor configuration.
 pub fn threadings() -> Vec<Threading> {
     vec![Threading::PerProcess, Threading::Reactor { reactors: 2 }]
 }

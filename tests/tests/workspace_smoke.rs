@@ -8,7 +8,7 @@ use agossip_analysis::fit_power_law;
 use agossip_bench::bench_scale;
 use agossip_consensus::{run_consensus, ConsensusProtocol, ConsensusValue};
 use agossip_core::{run_gossip, Ears, GossipCtx, GossipEngine, GossipSpec, Sears, Tears, Trivial};
-use agossip_runtime::{run_threaded, RuntimeConfig};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig};
 use agossip_sim::{FairObliviousAdversary, ProcessId, SimConfig, Simulation};
 
 /// agossip-core: every protocol engine is constructible from a `GossipCtx`
@@ -68,10 +68,11 @@ fn adversaries_are_constructible() {
     let _policy = PolicyAdversary::new(2, 2, 5, SchedulePolicy::FairRandom, DelayPolicy::Uniform);
 }
 
-/// agossip-runtime: the thread harness completes a tiny run.
+/// agossip-runtime: the live runtime completes a tiny run.
 #[test]
 fn runtime_harness_runs() {
-    let report = run_threaded(&RuntimeConfig::quick(2, 0, 9), Trivial::new);
+    let config = LiveConfig::free_running(2, 0, 9);
+    let report = run_live(&config, &ChannelTransport, Trivial::new).unwrap();
     assert_eq!(report.final_rumors.len(), 2);
 }
 
