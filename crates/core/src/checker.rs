@@ -12,6 +12,15 @@
 //! 3. **Quiescence** — the execution reached a state in which every process
 //!    has stopped sending messages (reported by the simulator's run loop and
 //!    passed in by the driver).
+//!
+//! The check reads a final set word by word where it can. A dense set whose
+//! payloads are all the identity (`payload == origin`, every plain gossip
+//! run) passes validity with one AND-NOT per word against the mask of
+//! origins whose initial rumor is `(j, j)`; a dense set of either kind
+//! counts its missing correct origins (full spec) as a popcount of
+//! `correct & !present` per word. Sparse sets, explicit-payload sets and
+//! any set that fails the word test take the rumor-by-rumor walk, so a
+//! report is the same whichever path produced it.
 
 use agossip_sim::ProcessId;
 
@@ -77,9 +86,26 @@ pub fn check_gossip(
     assert_eq!(correct.len(), n, "correctness flag per process required");
 
     // Validity: every rumor held anywhere must equal the initial rumor of its
-    // origin.
+    // origin. A dense set with identity payloads holds the rumor (j, j) for
+    // each bit j it has set, so it is valid iff every such bit is one of the
+    // origins whose initial rumor is (j, j): one AND-NOT per word, and bits
+    // at or beyond n are in no mask word. A set that fails that test, and
+    // every sparse or explicit-payload set, takes the rumor-by-rumor walk,
+    // so the violations are listed exactly and in order.
+    let identity_origins = origin_mask(n, |j| {
+        initial_rumors[j] == Rumor::new(ProcessId(j), j as u64)
+    });
     let mut validity_violations = Vec::new();
     for set in final_rumors {
+        if let Some((words, true)) = set.dense_presence() {
+            let all_identity = words
+                .iter()
+                .enumerate()
+                .all(|(w, &word)| word & !identity_origins.get(w).copied().unwrap_or(0) == 0);
+            if all_identity {
+                continue;
+            }
+        }
         for rumor in set.iter() {
             let origin = rumor.origin.index();
             if origin >= n || initial_rumors[origin] != rumor {
@@ -88,8 +114,12 @@ pub fn check_gossip(
         }
     }
 
-    // Gathering.
+    // Gathering. Under the full spec a dense set misses the popcount of
+    // `correct & !present`, word by word; a sparse set misses every correct
+    // origin it does not hold.
     let majority = n / 2 + 1;
+    let correct_origins = origin_mask(n, |j| correct[j]);
+    let correct_count = correct.iter().filter(|&&c| c).count();
     let mut gathering_violations = Vec::new();
     for (i, set) in final_rumors.iter().enumerate() {
         if !correct[i] {
@@ -97,9 +127,22 @@ pub fn check_gossip(
         }
         match spec {
             GossipSpec::Full => {
-                let missing = (0..n)
-                    .filter(|&j| correct[j] && !set.contains_origin(ProcessId(j)))
-                    .count();
+                let missing = match set.dense_presence() {
+                    Some((words, _)) => correct_origins
+                        .iter()
+                        .enumerate()
+                        .map(|(w, &c)| {
+                            (c & !words.get(w).copied().unwrap_or(0)).count_ones() as usize
+                        })
+                        .sum(),
+                    None => {
+                        correct_count
+                            - set
+                                .origins()
+                                .filter(|o| o.index() < n && correct[o.index()])
+                                .count()
+                    }
+                };
                 if missing > 0 {
                     gathering_violations.push((ProcessId(i), missing));
                 }
@@ -120,6 +163,16 @@ pub fn check_gossip(
         gathering_violations,
         validity_violations,
     }
+}
+
+/// One bit per origin in `0..n` (`mask[w]` covers `64w..64w + 64`), set
+/// where `keep` holds.
+fn origin_mask(n: usize, mut keep: impl FnMut(usize) -> bool) -> Vec<u64> {
+    let mut mask = vec![0u64; n.div_ceil(64)];
+    for j in (0..n).filter(|&j| keep(j)) {
+        mask[j / 64] |= 1 << (j % 64);
+    }
+    mask
 }
 
 /// Convenience wrapper: checks engines directly.

@@ -499,6 +499,18 @@ impl RumorSet {
         }
     }
 
+    /// A dense set's presence words (low word first, untrimmed) and whether
+    /// every payload is its origin; `None` while the set is sparse. For
+    /// word-wise scans that must not materialize a sparse set.
+    pub(crate) fn dense_presence(&self) -> Option<(&[u64], bool)> {
+        match &self.repr {
+            Repr::Sparse { .. } => None,
+            Repr::Dense { present, payloads } => {
+                Some((present.words(), matches!(payloads, Payloads::Identity)))
+            }
+        }
+    }
+
     /// The presence bitmap as trimmed dense words (low word first) — for the
     /// wire codec's dense section. Borrowed when the set is already dense,
     /// materialized when sparse, so the bytes on the wire are identical

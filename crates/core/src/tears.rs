@@ -23,6 +23,23 @@
 //!
 //! Unlike `ears`, a process does not send in every step; whether it sends at
 //! all is governed entirely by how many first-level messages have arrived.
+//!
+//! **Per-sender high-water mark.** A process's `V` only grows (Figure 3,
+//! lines 16–19), and every message carries the sender's `V` at send time, so
+//! the snapshots one sender ships form an inclusion chain, and a snapshot's
+//! size says where on the chain it sits: one no larger than a snapshot
+//! already merged from the same sender is a subset of it, hence of what the
+//! receiver holds. Each process therefore records, per sender, the size of
+//! the largest snapshot it has merged (or tested) from it, and a delivery no
+//! larger than that mark skips the superset test and the union; it still
+//! counts toward the trigger. This is exact, not a heuristic: the state
+//! after a skipped delivery is the state the superset test would have left.
+//! It trusts the sender id and the snapshot size a delivery reports, which
+//! the crash-only model guarantees (a process never forges either). The
+//! mark is a sorted `(sender, size)` list while that is smaller than a
+//! `u32` array over `0..n`, and the array from then on: chosen at
+//! construction from `|Π1| + |Π2|` (the expected in-degree) and promoted by
+//! the same byte comparison as senders arrive.
 
 use std::sync::Arc;
 
@@ -76,6 +93,82 @@ pub struct Tears {
     pending_bcasts: u64,
     second_level_sends: u64,
     steps: u64,
+    marks: SenderMarks,
+}
+
+/// The per-sender high-water mark (see the module docs): the size of the
+/// largest snapshot already merged or tested from each sender, 0 before the
+/// first.
+#[derive(Debug, Clone)]
+enum SenderMarks {
+    /// `(sender, mark)` sorted by sender, no duplicates.
+    List(Vec<(u32, u32)>),
+    /// `marks[q]` for every sender `q` in `0..n`.
+    Array(Vec<u32>),
+}
+
+/// The list/array rule: a list of `senders` entries gives way to the array
+/// over `0..n` as soon as the array is no larger.
+fn array_is_no_larger(senders: usize, n: usize) -> bool {
+    senders * size_of::<(u32, u32)>() >= n * size_of::<u32>()
+}
+
+impl SenderMarks {
+    /// Empty marks for a process expecting about `senders` distinct senders
+    /// out of `n`, pre-sized so that a delivery from an expected sender
+    /// allocates nothing.
+    fn new(n: usize, senders: usize) -> Self {
+        if array_is_no_larger(senders, n) {
+            SenderMarks::Array(vec![0; n])
+        } else {
+            SenderMarks::List(Vec::with_capacity(senders))
+        }
+    }
+
+    /// Raises `from`'s mark to `len` and returns `true`, or returns `false`
+    /// when `len` is no larger than the mark, i.e. the snapshot is already
+    /// held. A sender or size beyond the `u32` range (or, in the array,
+    /// beyond `0..n`) is never recorded and always reads as new.
+    fn raise(&mut self, from: ProcessId, len: usize, n: usize) -> bool {
+        let Ok(len) = u32::try_from(len) else {
+            return true;
+        };
+        match self {
+            SenderMarks::Array(marks) => match marks.get_mut(from.index()) {
+                Some(mark) if *mark >= len => false,
+                Some(mark) => {
+                    *mark = len;
+                    true
+                }
+                None => true,
+            },
+            SenderMarks::List(entries) => {
+                let Ok(sender) = u32::try_from(from.index()) else {
+                    return true;
+                };
+                match entries.binary_search_by_key(&sender, |&(q, _)| q) {
+                    Ok(pos) if entries[pos].1 >= len => false,
+                    Ok(pos) => {
+                        entries[pos].1 = len;
+                        true
+                    }
+                    Err(pos) => {
+                        entries.insert(pos, (sender, len));
+                        if array_is_no_larger(entries.len(), n) {
+                            let mut marks = vec![0; n];
+                            for &(q, mark) in entries.iter() {
+                                if let Some(slot) = marks.get_mut(q as usize) {
+                                    *slot = mark;
+                                }
+                            }
+                            *self = SenderMarks::Array(marks);
+                        }
+                        true
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl Tears {
@@ -105,7 +198,10 @@ impl Tears {
         }
         let mu = params.mu(ctx.n).round().max(1.0) as u64;
         let kappa = params.kappa(ctx.n).round().max(1.0) as u64;
+        // p hears from q when p ∈ Π1(q) or Π2(q): about |Π1| + |Π2| senders.
+        let marks = SenderMarks::new(ctx.n, pi1.len() + pi2.len());
         Tears {
+            marks,
             rumors: Arc::new(RumorSet::singleton(ctx.rumor)),
             pi1,
             pi2,
@@ -173,46 +269,55 @@ impl Tears {
         }
         false
     }
-}
 
-impl GossipEngine for Tears {
-    type Msg = TearsMessage;
-
-    fn deliver(&mut self, _from: ProcessId, msg: TearsMessage) {
-        // Figure 3, lines 16–19. The superset pre-check keeps the state
-        // untouched (and unshared snapshots un-copied) when the message
-        // brings nothing new; `make_mut` copies the set only when it is still
-        // shared with in-flight snapshots.
-        if !self.rumors.is_superset_of(&msg.rumors) {
-            Arc::make_mut(&mut self.rumors).union(&msg.rumors);
-        }
-        if msg.flag == TearsFlag::Up {
+    /// Counts a first-level message toward the trigger (Figure 3, lines
+    /// 17–19); a second-level one counts for nothing.
+    fn count_flag(&mut self, flag: TearsFlag) {
+        if flag == TearsFlag::Up {
             self.up_msg_cnt += 1;
             if self.is_trigger_count(self.up_msg_cnt) {
                 self.pending_bcasts += 1;
             }
         }
     }
+}
+
+impl GossipEngine for Tears {
+    type Msg = TearsMessage;
+
+    /// Figure 3, lines 16–19. A snapshot no larger than the sender's mark is
+    /// already held (module docs) and touches nothing but the count. Any
+    /// other raises the mark, and the superset pre-check still keeps the
+    /// state untouched (and unshared snapshots un-copied) when it brings
+    /// nothing new; `make_mut` copies the set only when it is still shared
+    /// with in-flight snapshots.
+    fn deliver(&mut self, from: ProcessId, msg: TearsMessage) {
+        self.count_flag(msg.flag);
+        if self.marks.raise(from, msg.rumors.len(), self.ctx.n)
+            && !self.rumors.is_superset_of(&msg.rumors)
+        {
+            Arc::make_mut(&mut self.rumors).union(&msg.rumors);
+        }
+    }
 
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize {
         // Batched form of `deliver`: one borrowed-view decode walk per body,
-        // counting the first-level messages (each increment still visits its
-        // own trigger count) and folding the rumor sections in with at most
-        // one copy-on-write of the state — the first fresh view pays the
-        // `Arc` copy, every later `make_mut` sees a unique handle.
+        // then per frame the same skip-or-test-then-union, keyed on the
+        // frame's sender and the decoded set's size. A frame that fails to
+        // decode is counted and leaves the marks alone. The rumor sections
+        // fold in with at most one copy-on-write of the state — the first
+        // fresh view pays the `Arc` copy, every later `make_mut` sees a
+        // unique handle.
         let mut errors = 0usize;
-        let mut unioning = false;
         for frame in frames {
             match TearsMessage::decode_view(frame.body()) {
                 Ok(view) => {
-                    if view.flag == TearsFlag::Up {
-                        self.up_msg_cnt += 1;
-                        if self.is_trigger_count(self.up_msg_cnt) {
-                            self.pending_bcasts += 1;
-                        }
-                    }
-                    if unioning || !self.rumors.is_superset_of_view(&view.rumors) {
-                        unioning = true;
+                    self.count_flag(view.flag);
+                    if self
+                        .marks
+                        .raise(frame.sender(), view.rumors.len(), self.ctx.n)
+                        && !self.rumors.is_superset_of_view(&view.rumors)
+                    {
                         Arc::make_mut(&mut self.rumors).union_view(&view.rumors);
                     }
                 }
@@ -435,6 +540,104 @@ mod tests {
         p.deliver(ProcessId(1), up_msg(1));
         assert_eq!(snapshot.len(), before, "in-flight snapshots are immutable");
         assert_eq!(p.rumors().len(), before + 1);
+    }
+
+    /// A snapshot of the rumors of origins `0..len` — the chain one sender
+    /// that learns origins in order ships.
+    fn prefix(len: usize, flag: TearsFlag) -> TearsMessage {
+        TearsMessage {
+            rumors: Arc::new(
+                (0..len)
+                    .map(|i| Rumor::new(ProcessId(i), i as u64))
+                    .collect(),
+            ),
+            flag,
+        }
+    }
+
+    fn sparse_params() -> TearsParams {
+        TearsParams {
+            a_factor: 0.1,
+            ..TearsParams::default()
+        }
+    }
+
+    #[test]
+    fn marks_start_in_the_form_the_expected_in_degree_fits() {
+        // n ≤ 128 under the paper's constants: a ≥ n, so everyone is
+        // everyone's neighbour and the array is the smaller form.
+        let p = Tears::new(ctx(0, 64, 3));
+        assert!(matches!(&p.marks, SenderMarks::Array(m) if m.len() == 64));
+        // A small a leaves the expected senders far below n/2: a list, with
+        // room for all of them before the first delivery.
+        let p = Tears::with_params(ctx(0, 4096, 3), sparse_params());
+        let expected = p.pi1().len() + p.pi2().len();
+        assert!(expected > 0 && !array_is_no_larger(expected, 4096));
+        assert!(
+            matches!(&p.marks, SenderMarks::List(l) if l.is_empty() && l.capacity() >= expected)
+        );
+    }
+
+    #[test]
+    fn list_marks_promote_at_the_byte_crossover_and_keep_every_mark() {
+        // At n = 64 the array is 256 bytes: the 32nd 8-byte entry fills it.
+        let n = 64;
+        let mut marks = SenderMarks::new(n, 2);
+        for q in 0..n {
+            assert_eq!(
+                matches!(marks, SenderMarks::Array(_)),
+                q >= 32,
+                "{q} senders recorded"
+            );
+            assert!(marks.raise(ProcessId(q), q + 1, n), "first contact is new");
+        }
+        let SenderMarks::Array(array) = &marks else {
+            panic!("promoted");
+        };
+        let want: Vec<u32> = (1..=n as u32).collect();
+        assert_eq!(array, &want, "promotion carries every mark over");
+        for q in 0..n {
+            assert!(!marks.raise(ProcessId(q), q + 1, n), "equal size is held");
+            assert!(!marks.raise(ProcessId(q), q, n), "smaller is held");
+            assert!(marks.raise(ProcessId(q), q + 2, n), "larger is new");
+        }
+    }
+
+    #[test]
+    fn marks_skip_only_what_is_no_larger_and_never_record_strangers() {
+        for mut marks in [SenderMarks::new(16, 0), SenderMarks::new(16, 16)] {
+            assert!(marks.raise(ProcessId(3), 5, 16));
+            assert!(!marks.raise(ProcessId(3), 5, 16));
+            assert!(marks.raise(ProcessId(3), 6, 16));
+            assert!(marks.raise(ProcessId(4), 1, 16), "marks are per sender");
+            // A sender outside the array (or the u32 range) reads as new
+            // every time, so its snapshots always take the full path.
+            let stranger = ProcessId(usize::MAX);
+            assert!(marks.raise(stranger, 1, 16));
+            assert!(marks.raise(stranger, 1, 16));
+        }
+        let mut array = SenderMarks::new(16, 16);
+        assert!(array.raise(ProcessId(16), 1, 16));
+        assert!(array.raise(ProcessId(16), 1, 16));
+    }
+
+    #[test]
+    fn a_held_snapshot_skips_the_union_but_still_counts() {
+        for params in [TearsParams::default(), sparse_params()] {
+            let mut p = Tears::with_params(ctx(9, 64, 29), params);
+            p.deliver(ProcessId(2), prefix(5, TearsFlag::Down));
+            assert_eq!(p.rumors().len(), 6, "origins 0..5 plus its own");
+            let held = Arc::clone(&p.rumors);
+            // Earlier links of the same chain: nothing to merge, and the
+            // state is not even copied, but a raised flag still counts.
+            p.deliver(ProcessId(2), prefix(3, TearsFlag::Up));
+            p.deliver(ProcessId(2), prefix(5, TearsFlag::Up));
+            assert!(Arc::ptr_eq(&held, &p.rumors));
+            assert_eq!(p.up_msg_count(), 2);
+            // A longer link merges.
+            p.deliver(ProcessId(2), prefix(7, TearsFlag::Down));
+            assert_eq!(p.rumors().len(), 8);
+        }
     }
 
     #[test]
