@@ -455,7 +455,7 @@ impl Experiment for Service {
         "service mode: epoch throughput and settle latency, open vs closed loop"
     }
     fn artifact(&self) -> &'static str {
-        "continuous-traffic north star (ROADMAP item 3)"
+        "continuous-traffic service (README \"Service mode\")"
     }
     fn example(&self) -> &'static str {
         "cargo run --release -p agossip-bench --bin service_baseline"

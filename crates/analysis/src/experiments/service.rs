@@ -3,7 +3,8 @@
 //! Every other experiment measures one gossip instance from injection to
 //! quiescence. This one measures the *service* built on top: a pipelined
 //! sequence of epochs pushed through the replicated rumor log of
-//! [`agossip_core::service`], under both admission disciplines —
+//! [`agossip_runtime::service`], run under lockstep pacing on one reactor
+//! thread over in-process channels, under both admission disciplines —
 //!
 //! * **open loop** (`LoopMode::Open`): a fresh epoch every fixed period,
 //!   whether or not earlier epochs have settled (arrival-rate driven);
@@ -11,15 +12,16 @@
 //!   flight, a new one admitted only when one finalizes (completion
 //!   driven).
 //!
-//! Reported per `(protocol, mode, n)` point: epochs-per-step throughput,
-//! total messages, and the p50/p99 settle latency (steps from admission to
-//! detected quiescence), all from a single deterministic run — the whole
-//! service run is a pure function of the seed, so trials add nothing.
+//! Reported per `(protocol, mode, n)` point: epochs-per-tick throughput,
+//! total messages, and the p50/p99 settle latency (ticks from admission to
+//! the epoch's last activity, so margin-free), all from a single
+//! deterministic run — a lockstep service run is a pure function of the
+//! seed, so trials add nothing.
 
-use agossip_core::{
-    percentile, run_service_sim, Ears, GossipSpec, LoopMode, SimServiceConfig, Tears, Trivial,
+use agossip_core::{Ears, GossipSpec, LoopMode, Tears, Trivial};
+use agossip_runtime::{
+    percentile, run_service, ChannelTransport, LiveConfig, Pacing, RuntimeError, ServiceConfig,
 };
-use agossip_runtime::{run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig};
 use agossip_sim::{SimError, SimResult};
 
 use crate::experiments::common::ExperimentScale;
@@ -49,27 +51,28 @@ pub struct ServiceRow {
     pub mode: &'static str,
     /// Epochs finalized.
     pub epochs: u64,
-    /// Total simulator steps for the whole run.
-    pub steps: u64,
+    /// Lockstep ticks the whole run took.
+    pub ticks: u64,
     /// Total point-to-point messages across all epochs.
     pub messages: u64,
-    /// Median settle latency (steps from admission to detected settling).
+    /// Median settle latency (ticks from admission to the epoch's last
+    /// activity — margin-free).
     pub p50: u64,
     /// 99th-percentile settle latency.
     pub p99: u64,
-    /// Peak number of concurrently open epochs.
-    pub max_open: usize,
+    /// Peak number of outstanding epochs (admitted, not yet finalized).
+    pub max_open: u64,
     /// True when every epoch passed its gossip check.
     pub ok: bool,
 }
 
 impl ServiceRow {
-    /// Epochs finalized per thousand simulator steps.
-    pub fn epochs_per_kstep(&self) -> f64 {
-        if self.steps == 0 {
+    /// Epochs finalized per thousand lockstep ticks.
+    pub fn epochs_per_ktick(&self) -> f64 {
+        if self.ticks == 0 {
             return 0.0;
         }
-        self.epochs as f64 * 1000.0 / self.steps as f64
+        self.epochs as f64 * 1000.0 / self.ticks as f64
     }
 }
 
@@ -81,7 +84,7 @@ fn service_protocols() -> [&'static str; 2] {
 }
 
 /// The admission disciplines compared, derived from the scale's delay
-/// bound: the open loop admits one epoch every `3·d` steps.
+/// bound: the open loop admits one epoch every `3·d` ticks.
 fn service_modes(scale: &ExperimentScale) -> [LoopMode; 2] {
     [
         LoopMode::Closed {
@@ -93,19 +96,26 @@ fn service_modes(scale: &ExperimentScale) -> [LoopMode; 2] {
     ]
 }
 
-/// The service config for one `(n, mode)` point of `scale`.
-fn service_config(scale: &ExperimentScale, n: usize, mode: LoopMode) -> SimServiceConfig {
-    SimServiceConfig {
-        window: SERVICE_WINDOW,
-        mode,
-        spec: GossipSpec::Full,
-        ..SimServiceConfig::closed(
-            n,
-            scale.f_for(n),
-            scale.d.max(1),
-            scale.seed_for(n, 0),
-            SERVICE_EPOCHS,
-        )
+/// The service config for one `(n, mode)` point of `scale`: lockstep
+/// pacing with delays in `1..=d` on a single reactor thread.
+fn service_config(scale: &ExperimentScale, n: usize, mode: LoopMode) -> SimResult<ServiceConfig> {
+    let live = LiveConfig::builder(n, scale.f_for(n), scale.seed_for(n, 0))
+        .pacing(Pacing::Lockstep {
+            d: scale.d.max(1),
+            max_ticks: 1 << 20,
+        })
+        .reactors(1)
+        .build()
+        .map_err(|e| service_error(e.into()))?;
+    Ok(ServiceConfig::new(live, SERVICE_EPOCHS)
+        .with_window(SERVICE_WINDOW)
+        .with_mode(mode))
+}
+
+/// A failed runtime service run, as the sweep's error type.
+fn service_error(e: RuntimeError) -> SimError {
+    SimError::InvalidConfig {
+        reason: format!("live service run failed: {e}"),
     }
 }
 
@@ -116,19 +126,20 @@ fn service_point(
     n: usize,
     mode: LoopMode,
 ) -> SimResult<ServiceRow> {
-    let cfg = service_config(scale, n, mode);
+    let config = service_config(scale, n, mode)?;
     let report = match protocol {
-        "ears" => run_service_sim(&cfg, Ears::new)?,
-        _ => run_service_sim(&cfg, Trivial::new)?,
-    };
+        "ears" => run_service(&config, &ChannelTransport, Ears::new),
+        _ => run_service(&config, &ChannelTransport, Trivial::new),
+    }
+    .map_err(service_error)?;
     let latencies = report.settle_latencies();
     Ok(ServiceRow {
         protocol,
         n,
-        f: cfg.f,
+        f: config.live.f,
         mode: mode.name(),
         epochs: report.epochs.len() as u64,
-        steps: report.steps,
+        ticks: report.ticks,
         messages: report.messages_sent,
         p50: percentile(&latencies, 50.0),
         p99: percentile(&latencies, 99.0),
@@ -166,8 +177,8 @@ pub fn service_to_table(rows: &[ServiceRow]) -> Table {
             "n",
             "f",
             "epochs",
-            "steps",
-            "epochs/kstep",
+            "ticks",
+            "epochs/ktick",
             "messages",
             "p50 settle",
             "p99 settle",
@@ -182,8 +193,8 @@ pub fn service_to_table(rows: &[ServiceRow]) -> Table {
             row.n.to_string(),
             row.f.to_string(),
             row.epochs.to_string(),
-            row.steps.to_string(),
-            fmt_f64(row.epochs_per_kstep()),
+            row.ticks.to_string(),
+            fmt_f64(row.epochs_per_ktick()),
             row.messages.to_string(),
             row.p50.to_string(),
             row.p99.to_string(),
@@ -269,9 +280,7 @@ pub fn run_live_service_trial(
     let report = run_service(&config, &ChannelTransport, move |ctx| {
         Tears::with_params(ctx, params)
     })
-    .map_err(|e| SimError::InvalidConfig {
-        reason: format!("live service run failed: {e}"),
-    })?;
+    .map_err(service_error)?;
     let ok = report.all_ok() && report.decode_errors == 0;
     let latencies = report.settle_latencies();
     let wall_secs = report.elapsed.as_secs_f64();
@@ -359,6 +368,6 @@ mod tests {
         let rows = service_rows(&TrialPool::serial(), &scale).unwrap();
         let table = service_to_table(&rows);
         assert_eq!(table.len(), rows.len());
-        assert!(table.render().contains("epochs/kstep"));
+        assert!(table.render().contains("epochs/ktick"));
     }
 }

@@ -52,7 +52,6 @@ pub mod informed_list;
 pub mod params;
 pub mod rumor;
 pub mod sears;
-pub mod service;
 pub mod sync_epidemic;
 pub mod tears;
 pub mod trivial;
@@ -76,7 +75,6 @@ pub use epoch::{
 pub use params::{EarsParams, ParamError, SearsParams, SyncParams, TearsParams};
 pub use rumor::{Rumor, RumorSet};
 pub use sears::{Sears, SearsMessage};
-pub use service::{percentile, run_service_sim, EpochOutcome, ServiceSimReport, SimServiceConfig};
 pub use sync_epidemic::{SyncEpidemic, SyncMessage};
 pub use tears::{Tears, TearsFlag, TearsMessage};
 pub use trivial::{Trivial, TrivialMessage};

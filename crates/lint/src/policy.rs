@@ -128,7 +128,6 @@ pub fn default_policy() -> Policy {
                 "crates/core/src/codec.rs",
                 "crates/core/src/codec_view.rs",
                 "crates/core/src/epoch.rs",
-                "crates/core/src/service.rs",
                 "crates/runtime/src/transport.rs",
                 "crates/runtime/src/event_loop.rs",
                 "crates/runtime/src/driver.rs",
@@ -204,11 +203,7 @@ mod tests {
         assert!(reactor.contains(&RuleId::NeverPanicDecode));
         assert!(reactor.contains(&RuleId::NoWallClock));
 
-        for service_path in [
-            "crates/core/src/epoch.rs",
-            "crates/core/src/service.rs",
-            "crates/runtime/src/service.rs",
-        ] {
+        for service_path in ["crates/core/src/epoch.rs", "crates/runtime/src/service.rs"] {
             let rules = policy.rules_for(service_path);
             assert!(
                 rules.contains(&RuleId::NeverPanicDecode),

@@ -53,7 +53,7 @@ pub use driver::{
 };
 pub use error::{ConfigError, RuntimeError};
 pub use event_loop::RunStats;
-pub use service::{run_service, run_service_with_clock, EpochReport, ServiceConfig, ServiceReport};
+pub use service::{percentile, run_service, EpochReport, ServiceConfig, ServiceReport};
 pub use transport::{
     frame_bytes, ChannelTransport, Endpoint, FrameBuf, RawFrame, SendOutcome, SocketKind,
     SocketTransport, Transport, MAX_FRAME_BYTES,

@@ -59,7 +59,7 @@ use agossip_core::{
 };
 use agossip_sim::ProcessId;
 
-use crate::clock::{Clock, MonotonicClock};
+use crate::clock::MonotonicClock;
 use crate::driver::{run_processes, LiveConfig, Pacing};
 use crate::error::{ConfigError, RuntimeError};
 use crate::event_loop::SharedRun;
@@ -103,11 +103,6 @@ impl ServiceConfig {
             spec: GossipSpec::Full,
             stall_limit: 10_000,
         }
-    }
-
-    /// Shorthand: a lockstep closed-loop service run (thread per process).
-    pub fn lockstep(n: usize, f: usize, seed: u64, epochs: u64) -> Self {
-        ServiceConfig::new(LiveConfig::lockstep(n, f, seed), epochs)
     }
 
     /// Sets the window (slot-ring capacity).
@@ -221,14 +216,26 @@ impl ServiceReport {
         self.quiescent && self.epochs.iter().all(|e| e.check.all_ok())
     }
 
-    /// Open-to-settle latencies in epoch order (feed to
-    /// [`agossip_core::percentile`]).
+    /// Open-to-settle latencies in epoch order (feed to [`percentile`]).
     pub fn settle_latencies(&self) -> Vec<u64> {
         self.epochs
             .iter()
             .map(EpochReport::settle_latency)
             .collect()
     }
+}
+
+/// Nearest-rank percentile of a latency sample (`p` in `0..=100`). Returns
+/// 0 for an empty sample. The input need not be sorted.
+pub fn percentile(samples: &[u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    let idx = rank.max(1).min(sorted.len()) - 1;
+    sorted.get(idx).copied().unwrap_or(0)
 }
 
 /// Driver-side view of one slot in the epoch ring.
@@ -447,28 +454,11 @@ where
     F: Fn(GossipCtx) -> G + Clone + Send,
     G::Msg: WireCodec + WireDecodeView + PartialEq + Send,
 {
-    run_service_with_clock(config, transport, Arc::new(MonotonicClock::new()), make)
-}
-
-/// [`run_service`] with an injected time source (free-running pacing reads
-/// delays and the stall clock through it).
-pub fn run_service_with_clock<T, G, F>(
-    config: &ServiceConfig,
-    transport: &T,
-    clock: Arc<dyn Clock>,
-    make: F,
-) -> Result<ServiceReport, RuntimeError>
-where
-    T: Transport,
-    G: GossipEngine + Send,
-    F: Fn(GossipCtx) -> G + Clone + Send,
-    G::Msg: WireCodec + WireDecodeView + PartialEq + Send,
-{
     config.validate()?;
     let n = config.live.n;
     let seed = config.live.seed;
     let endpoints = transport.open(n)?;
-    let shared = SharedRun::new(n, clock);
+    let shared = SharedRun::new(n, Arc::new(MonotonicClock::new()));
     let board = Arc::new(EpochBoard::new(config.window));
     let muxes: Vec<EpochMux<G, F>> = ProcessId::all(n)
         .map(|pid| {
@@ -534,7 +524,7 @@ mod tests {
     use super::*;
     use crate::driver::Threading;
     use crate::transport::ChannelTransport;
-    use agossip_core::{percentile, Ears, Tears, Trivial, TrivialMessage};
+    use agossip_core::{Ears, Tears, Trivial, TrivialMessage};
     use agossip_sim::ProcessId;
     use std::fmt;
 
@@ -556,7 +546,7 @@ mod tests {
     #[test]
     fn closed_loop_lockstep_service_finalizes_every_epoch() {
         let epochs = 12;
-        let config = ServiceConfig::lockstep(16, 2, 0x5EED_0001, epochs)
+        let config = ServiceConfig::new(LiveConfig::lockstep(16, 2, 0x5EED_0001), epochs)
             .with_window(4)
             .with_mode(LoopMode::Closed { in_flight: 3 });
         let report = run_service(&config, &ChannelTransport, Trivial::new).expect("service run");
@@ -572,7 +562,7 @@ mod tests {
     #[test]
     fn open_loop_lockstep_service_finalizes_every_epoch() {
         let epochs = 8;
-        let config = ServiceConfig::lockstep(12, 2, 0x5EED_0002, epochs)
+        let config = ServiceConfig::new(LiveConfig::lockstep(12, 2, 0x5EED_0002), epochs)
             .with_window(6)
             .with_mode(LoopMode::Open { period: 4 });
         let report = run_service(&config, &ChannelTransport, Ears::new).expect("service run");
@@ -583,8 +573,8 @@ mod tests {
     #[test]
     fn majority_service_checks_tears_epochs() {
         let epochs = 4;
-        let config =
-            ServiceConfig::lockstep(24, 3, 0x5EED_0003, epochs).with_spec(GossipSpec::Majority);
+        let config = ServiceConfig::new(LiveConfig::lockstep(24, 3, 0x5EED_0003), epochs)
+            .with_spec(GossipSpec::Majority);
         let report = run_service(&config, &ChannelTransport, Tears::new).expect("service run");
         assert_epochs_ok(&report, epochs);
     }
@@ -605,7 +595,8 @@ mod tests {
     #[test]
     fn lockstep_service_reports_are_identical_across_threadings() {
         let run = |threading: Threading| {
-            let mut config = ServiceConfig::lockstep(12, 2, 0x5EED_0005, 8).with_window(4);
+            let mut config =
+                ServiceConfig::new(LiveConfig::lockstep(12, 2, 0x5EED_0005), 8).with_window(4);
             config.live.threading = threading;
             run_service(&config, &ChannelTransport, Trivial::new).expect("service run")
         };
@@ -683,7 +674,8 @@ mod tests {
 
     #[test]
     fn stalled_epoch_raises_typed_error() {
-        let config = ServiceConfig::lockstep(4, 1, 0x5EED_0007, 2).with_stall_limit(40);
+        let config =
+            ServiceConfig::new(LiveConfig::lockstep(4, 1, 0x5EED_0007), 2).with_stall_limit(40);
         let result = run_service(&config, &ChannelTransport, |ctx| Chatty {
             ctx,
             rumors: RumorSet::new(),
@@ -699,7 +691,7 @@ mod tests {
 
     #[test]
     fn invalid_service_configs_are_rejected() {
-        let base = ServiceConfig::lockstep(8, 1, 1, 4);
+        let base = ServiceConfig::new(LiveConfig::lockstep(8, 1, 1), 4);
         assert_eq!(
             base.clone().with_window(0).validate(),
             Err(ConfigError::ZeroWindow)
@@ -727,7 +719,7 @@ mod tests {
 
     #[test]
     fn settle_latency_percentiles_are_computable() {
-        let config = ServiceConfig::lockstep(12, 1, 0x5EED_0008, 8);
+        let config = ServiceConfig::new(LiveConfig::lockstep(12, 1, 0x5EED_0008), 8);
         let report = run_service(&config, &ChannelTransport, Trivial::new).expect("service run");
         let latencies = report.settle_latencies();
         assert_eq!(latencies.len(), 8);
@@ -735,5 +727,17 @@ mod tests {
         let p99 = percentile(&latencies, 99.0);
         assert!(p50 <= p99);
         assert!(p99 > 0, "trivial gossip needs at least one tick to settle");
+    }
+
+    #[test]
+    fn percentile_nearest_rank() {
+        assert_eq!(percentile(&[], 50.0), 0);
+        assert_eq!(percentile(&[7], 50.0), 7);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 50.0), 50);
+        assert_eq!(percentile(&v, 99.0), 99);
+        assert_eq!(percentile(&v, 100.0), 100);
+        let unsorted = vec![30, 10, 20];
+        assert_eq!(percentile(&unsorted, 50.0), 20);
     }
 }

@@ -38,10 +38,13 @@ use agossip_analysis::experiments::scale::{
 use agossip_analysis::experiments::{ExperimentScale, GossipProtocolKind};
 use agossip_analysis::{ScenarioSpec, TrialProtocol};
 use agossip_core::{
-    run_gossip, run_service_sim, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet,
-    SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
+    run_gossip, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet, Tears, TearsFlag,
+    TearsMessage, Trivial,
 };
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Threading, Transport};
+use agossip_runtime::{
+    run_live, run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig, Threading,
+    Transport,
+};
 use agossip_sim::{Envelope, Network, ProcessId, SimConfig, TimeStep};
 
 /// Forwards to the system allocator, counting every allocation call and the
@@ -385,10 +388,17 @@ fn service_epoch_gc_keeps_live_state_o_window_not_o_epochs() {
     // retained past finalization — multiplies peak live bytes by the epoch
     // ratio and trips the assertion by an order of magnitude.
     let config = |epochs: u64| {
-        let mut cfg = SimServiceConfig::closed(16, 0, 2, 0xEC0_2008, epochs);
-        cfg.window = 4;
-        cfg.mode = LoopMode::Closed { in_flight: 2 };
-        cfg
+        let live = LiveConfig::builder(16, 0, 0xEC0_2008)
+            .pacing(Pacing::Lockstep {
+                d: 2,
+                max_ticks: 1 << 20,
+            })
+            .reactors(1)
+            .build()
+            .unwrap();
+        ServiceConfig::new(live, epochs)
+            .with_window(4)
+            .with_mode(LoopMode::Closed { in_flight: 2 })
     };
     let short_cfg = config(16);
     let long_cfg = config(256);
@@ -396,10 +406,10 @@ fn service_epoch_gc_keeps_live_state_o_window_not_o_epochs() {
     // Both runs measure under one lock hold: identical ambient noise, no
     // interleaving between the two windows.
     let window = ALLOC_WINDOW.lock().unwrap();
-    let measure = |cfg: &SimServiceConfig| {
+    let measure = |cfg: &ServiceConfig| {
         let floor = LIVE_BYTES.load(Ordering::Relaxed);
         PEAK_LIVE_BYTES.store(floor, Ordering::Relaxed);
-        let report = run_service_sim(cfg, Trivial::new).unwrap();
+        let report = run_service(cfg, &ChannelTransport, Trivial::new).unwrap();
         let peak = (PEAK_LIVE_BYTES.load(Ordering::Relaxed) - floor).max(1) as u64;
         (report, peak)
     };

@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) on the service mode's deterministic
 //! spine: the epoch workload generator, the admission frontier, and the
-//! simulated multi-epoch driver.
+//! lockstep multi-epoch driver.
 //!
 //! The service design leans on two pure functions — `epoch_initial_rumors`
 //! (the workload every epoch injects) and `service_open_upto` (the
@@ -14,10 +14,29 @@
 use proptest::prelude::*;
 
 use agossip_core::{
-    epoch_initial_rumors, epoch_rumor, epoch_seed, run_service_sim, service_open_upto, LoopMode,
-    SimServiceConfig, Trivial,
+    epoch_initial_rumors, epoch_rumor, epoch_seed, service_open_upto, LoopMode, Trivial,
+};
+use agossip_runtime::{
+    run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig, ServiceReport,
 };
 use agossip_sim::ProcessId;
+
+/// One lockstep service run on a single reactor thread: delays in `1..=2`
+/// ticks, a four-slot ring, no crashes.
+fn run_lockstep(n: usize, seed: u64, epochs: u64, mode: LoopMode) -> ServiceReport {
+    let live = LiveConfig::builder(n, 0, seed)
+        .pacing(Pacing::Lockstep {
+            d: 2,
+            max_ticks: 1 << 20,
+        })
+        .reactors(1)
+        .build()
+        .unwrap();
+    let config = ServiceConfig::new(live, epochs)
+        .with_window(4)
+        .with_mode(mode);
+    run_service(&config, &ChannelTransport, Trivial::new).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -94,7 +113,7 @@ proptest! {
     /// Open and closed loop admit epochs on different schedules but settle
     /// the *same* epoch stream — every epoch, in order, each passing its
     /// check — and a replay of either run is lifecycle-identical (same
-    /// opened/settled/finalized steps, same message count). Together these
+    /// opened/settled/finalized ticks, same message count). Together these
     /// pin that the epoch stream per seed is a function of the
     /// configuration alone, not of admission timing or scheduling.
     #[test]
@@ -103,15 +122,10 @@ proptest! {
         seed in 0u64..500,
         epochs in 2u64..6,
     ) {
-        let mut closed = SimServiceConfig::closed(n, 0, 2, seed, epochs);
-        closed.window = 4;
-        closed.mode = LoopMode::Closed { in_flight: 2 };
-        let mut open = closed.clone();
-        open.mode = LoopMode::Open { period: 3 };
-
-        let first = run_service_sim(&closed, Trivial::new).unwrap();
-        let replay = run_service_sim(&closed, Trivial::new).unwrap();
-        let other = run_service_sim(&open, Trivial::new).unwrap();
+        let closed = LoopMode::Closed { in_flight: 2 };
+        let first = run_lockstep(n, seed, epochs, closed);
+        let replay = run_lockstep(n, seed, epochs, closed);
+        let other = run_lockstep(n, seed, epochs, LoopMode::Open { period: 3 });
 
         prop_assert!(first.all_ok());
         prop_assert!(other.all_ok());
@@ -122,7 +136,7 @@ proptest! {
             prop_assert_eq!(b.epoch, i as u64, "open loop finalizes in epoch order");
         }
 
-        prop_assert_eq!(first.steps, replay.steps);
+        prop_assert_eq!(first.ticks, replay.ticks);
         prop_assert_eq!(first.messages_sent, replay.messages_sent);
         prop_assert_eq!(first.stale_drops, replay.stale_drops);
         prop_assert_eq!(first.max_open, replay.max_open);
