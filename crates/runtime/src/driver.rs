@@ -594,6 +594,7 @@ mod tests {
     use crate::clock::FakeClock;
     use crate::transport::{ChannelTransport, RawFrame, SendOutcome, SocketTransport};
     use agossip_core::{check_gossip, Ears, GossipSpec, Rumor, Tears, Trivial};
+    use parking_lot::Mutex;
 
     fn initial_rumors(n: usize) -> Vec<Rumor> {
         (0..n).map(|i| Rumor::new(ProcessId(i), i as u64)).collect()
@@ -860,6 +861,87 @@ mod tests {
         fn poll_into(&mut self, _out: &mut Vec<RawFrame>) -> Result<(), RuntimeError> {
             Ok(())
         }
+    }
+
+    /// Channels that count, across the clique, `poll_into` calls and the
+    /// distinct totals of sent frames those calls saw.
+    struct CountingPolls(Arc<Mutex<PollCounts>>);
+
+    #[derive(Default)]
+    struct PollCounts {
+        polls: u64,
+        sent: u64,
+        sent_at_poll: std::collections::BTreeSet<u64>,
+    }
+
+    struct CountingEndpoint {
+        inner: crate::transport::ChannelEndpoint,
+        counts: Arc<Mutex<PollCounts>>,
+    }
+
+    impl Transport for CountingPolls {
+        type Endpoint = CountingEndpoint;
+
+        fn name(&self) -> &'static str {
+            "counting-channel"
+        }
+
+        fn open(&self, n: usize) -> Result<Vec<CountingEndpoint>, RuntimeError> {
+            Ok(ChannelTransport
+                .open(n)?
+                .into_iter()
+                .map(|inner| CountingEndpoint {
+                    inner,
+                    counts: Arc::clone(&self.0),
+                })
+                .collect())
+        }
+    }
+
+    impl Endpoint for CountingEndpoint {
+        fn pid(&self) -> ProcessId {
+            self.inner.pid()
+        }
+
+        fn send(&mut self, to: ProcessId, payload: &[u8]) -> Result<SendOutcome, RuntimeError> {
+            self.counts.lock().sent += 1;
+            self.inner.send(to, payload)
+        }
+
+        fn poll_into(&mut self, out: &mut Vec<RawFrame>) -> Result<(), RuntimeError> {
+            let mut counts = self.counts.lock();
+            counts.polls += 1;
+            let sent = counts.sent;
+            counts.sent_at_poll.insert(sent);
+            self.inner.poll_into(out)
+        }
+    }
+
+    #[test]
+    fn lockstep_settle_rounds_with_nothing_in_flight_poll_nothing() {
+        let n = 8;
+        let config = LiveConfig::lockstep(n, 0, 1);
+        assert!(matches!(config.pacing, Pacing::Lockstep { d: 2, .. }));
+        let counts = Arc::new(Mutex::new(PollCounts::default()));
+        let report = run_live(&config, &CountingPolls(Arc::clone(&counts)), Trivial::new).unwrap();
+        assert!(report.quiescent);
+        assert_full_gossip(&report, n);
+        let counts = counts.lock();
+        // Channels settle in one round, so every round that polled saw a
+        // new send total: one round per step phase that sent. Trivial sends
+        // everything in its first step, so that is exactly one round.
+        assert!(
+            !counts.sent_at_poll.contains(&0),
+            "polled with nothing sent"
+        );
+        let rounds_in_flight = counts.sent_at_poll.len() as u64;
+        assert_eq!(rounds_in_flight, 1);
+        assert_eq!(counts.polls, n as u64 * rounds_in_flight);
+        assert!(
+            counts.polls < n as u64 * report.ticks,
+            "{} polls",
+            counts.polls
+        );
     }
 
     #[test]

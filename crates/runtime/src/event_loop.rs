@@ -10,7 +10,7 @@
 //! * [`Slot::deliver_due`] — fold every pending frame whose deadline has
 //!   come into the engine as one batch;
 //! * [`Slot::step`] — one local step: run the engine, encode each distinct
-//!   outgoing message once, stamp and send it.
+//!   outgoing message once, stamp and send it, then flush once.
 //!
 //! *When* those happen is the pacing discipline (see
 //! [`crate::driver::Pacing`]) and lives in [`crate::reactor`], which runs
@@ -263,12 +263,15 @@ where
         self.pending.is_empty() && self.engine.is_quiescent()
     }
 
-    /// Pushes queued outbound bytes (sockets write non-blockingly), then
-    /// replaces `frames` with whatever has arrived. Every frame taken off
-    /// the transport is booked as consumed, and so is every frame the flush
-    /// found lost to a dead peer — like a `Lost` send, it will never be
-    /// polled, and the settle handshake's sent == consumed invariant must
-    /// survive peer death.
+    /// Pushes outbound bytes a full kernel buffer left queued at the last
+    /// step's flush (sockets write non-blockingly), then replaces `frames`
+    /// with whatever has arrived. Every frame taken off the transport is
+    /// booked as consumed, and so is every frame the flush found lost to a
+    /// dead peer — like a `Lost` send, it will never be polled, and the
+    /// settle handshake's sent == consumed invariant must survive peer
+    /// death. Lockstep reactors skip the call in a settle round that opens
+    /// with the two counters equal: nothing is in flight, so nothing can
+    /// arrive.
     pub(crate) fn poll(
         &mut self,
         shared: &SharedRun,
@@ -321,7 +324,10 @@ where
     /// broadcast pushes clones of one message to many targets, so the body
     /// is encoded once per distinct message into one shared buffer and only
     /// the per-send head is rewritten: `stamp(rng, seq, head)` fills the
-    /// cleared `head` for the process's `seq`-th message. Returns whether
+    /// cleared `head` for the process's `seq`-th message. A step that sent
+    /// ends with one [`Endpoint::flush`] — for sockets, one write per peer
+    /// carrying all of the step's frames to it — and books the frames the
+    /// flush reports lost as consumed, as `poll` does. Returns whether
     /// anything was sent; on a transport error the rest of the step's output
     /// is dropped.
     pub(crate) fn step(
@@ -355,6 +361,13 @@ where
             if self.endpoint.send_shared(to, head, &self.shared_body)? == SendOutcome::Lost {
                 shared.stats.frames_consumed.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        if sent_any {
+            let lost = self.endpoint.flush()?;
+            shared
+                .stats
+                .frames_consumed
+                .fetch_add(lost, Ordering::Relaxed);
         }
         Ok(sent_any)
     }

@@ -3,8 +3,9 @@
 //!
 //! One event-loop thread owns *all* the endpoints of the processes pinned to
 //! it and drives them with level-triggered readiness polling — every
-//! iteration it makes non-blocking write progress (batched flushes against
-//! each connection's backpressure queue), drains whatever bytes have arrived
+//! iteration it makes non-blocking write progress (one coalesced write per
+//! peer after each step, finished by the next poll's flush if the kernel
+//! buffer filled), drains whatever bytes have arrived
 //! (the socket endpoints reassemble frames incrementally through
 //! [`crate::transport::FrameBuf`]), routes each decoded envelope into the
 //! addressed process's in-memory inbox (a deadline-indexed pending heap),
@@ -38,7 +39,10 @@
 //! buffer a frame past one poll, and without the handshake a late frame
 //! would change the execution — or be lost entirely if the run stopped
 //! while it was in transit. With it, determinism and no-loss hold on *any*
-//! transport.
+//! transport. Equal counters at the top of a round mean nothing is in
+//! flight, so that round polls nothing: a tick after a silent step costs
+//! two barrier pairs and no syscalls. Each step that sent ends with one
+//! flush, so a socket carries the step's frames to each peer in one write.
 //!
 //! The settle handshake and the `(deliver_tick, from, seq)` delivery order
 //! are both independent of which thread polls an endpoint or in which order
@@ -119,9 +123,14 @@ where
     'run: loop {
         // --- Settle: sweep every slot's transport in poll-only rounds
         // until the driver observes every sent frame consumed (one round on
-        // channels; kernel transports may need more). ---------------------
+        // channels; kernel transports may need more). A round that opens
+        // with nothing in flight has nothing to poll: the counters are
+        // stable here (the barrier pair closed the step or the last poll
+        // sweep), so every reactor reads the same verdict. ----------------
         loop {
-            for slot in slots.iter_mut() {
+            let in_flight = shared.stats.messages_sent.load(Ordering::Relaxed)
+                != shared.stats.frames_consumed.load(Ordering::Relaxed);
+            for slot in slots.iter_mut().filter(|_| in_flight) {
                 if let Err(e) = slot.poll(shared, &mut frames) {
                     shared.record_error(e);
                     slot.crashed = true; // keep participating in barriers

@@ -185,17 +185,20 @@ pub trait Endpoint: Send + 'static {
     /// ([`SendOutcome::Lost`]), not an error (see the module docs).
     ///
     /// A `Sent` outcome means the transport *accepted* the frame; endpoints
-    /// with local write queues (sockets) may still be holding the bytes.
-    /// Event loops must keep calling [`Endpoint::flush`] until the run is
-    /// over to push queued bytes out.
+    /// with local write queues hold the bytes until the next
+    /// [`Endpoint::flush`] (sockets only queue, writing early only past
+    /// their backpressure cap). The event loop flushes once at the end of
+    /// every step that sent and once at the top of every poll.
     fn send(&mut self, to: ProcessId, payload: &[u8]) -> Result<SendOutcome, RuntimeError>;
 
     /// Sends one frame whose logical payload is `head ++ body`, where
     /// `body` is typically one encoded broadcast body shared across many
     /// destinations. Endpoints that can hand the receiver the shared buffer
     /// itself (channels) override this so a broadcast costs one reference-
-    /// count bump per destination instead of one payload copy; the default
-    /// concatenates and delegates to [`Endpoint::send`].
+    /// count bump per destination instead of one payload copy; sockets
+    /// queue `head` and `body` straight behind the framing header. The
+    /// default concatenates and delegates to [`Endpoint::send`]. Queued
+    /// bytes move at the next [`Endpoint::flush`], as for `send`.
     fn send_shared(
         &mut self,
         to: ProcessId,
@@ -212,7 +215,10 @@ pub trait Endpoint: Send + 'static {
     /// blocking.
     fn poll_into(&mut self, out: &mut Vec<RawFrame>) -> Result<(), RuntimeError>;
 
-    /// Makes non-blocking progress on locally queued outbound bytes.
+    /// Makes non-blocking progress on locally queued outbound bytes: for
+    /// sockets, one write per peer with anything queued, all of that peer's
+    /// frames since the last flush coalesced. Bytes a full kernel buffer
+    /// refuses stay queued for the next call.
     ///
     /// Returns the number of previously `Sent` frames now known to be lost
     /// (their peer died with the frames still queued). Callers that account
@@ -551,17 +557,16 @@ const MAX_BACKPRESSURE_SPINS: u32 = 1_000_000;
 const COMPACT_QUEUE_BYTES: usize = 64 * 1024;
 
 /// One established outbound connection with its write queue: frames are
-/// appended into one contiguous buffer (`buf[written..]` is unsent) so a
-/// single non-blocking write pushes many coalesced frames per syscall.
-/// Per-frame lengths ride alongside for loss accounting when the peer dies
-/// with frames still queued.
+/// appended into one contiguous buffer (`buf[written..]` is unsent) and the
+/// event loop's once-per-step flush pushes them out in one non-blocking
+/// write. Offset 0 is always a frame boundary, so the queue's own framing
+/// headers say where each frame ends; that cold walk
+/// ([`unfinished_frames`]) is all the loss accounting a dead peer needs.
+/// A fully written queue releases its buffer.
 struct OutboundConn {
     stream: AnyStream,
     buf: Vec<u8>,
     written: usize,
-    frame_lens: VecDeque<usize>,
-    /// Bytes of the front queued frame already written.
-    front_written: usize,
 }
 
 impl OutboundConn {
@@ -570,8 +575,6 @@ impl OutboundConn {
             stream,
             buf: Vec::new(),
             written: 0,
-            frame_lens: VecDeque::new(),
-            front_written: 0,
         }
     }
 
@@ -581,37 +584,45 @@ impl OutboundConn {
     }
 
     /// Appends one frame (`framing header ++ head ++ body`) to the queue,
-    /// compacting the already-written prefix away first when it has grown.
+    /// first compacting away the fully written frames when the written
+    /// prefix has grown.
     fn enqueue(&mut self, from: ProcessId, head: &[u8], body: &[u8]) {
-        if self.written == self.buf.len() {
-            self.buf.clear();
-            self.written = 0;
-        } else if self.written > COMPACT_QUEUE_BYTES {
-            self.buf.drain(..self.written);
-            self.written = 0;
+        if self.written > COMPACT_QUEUE_BYTES {
+            let (cut, _) = unfinished_frames(&self.buf, self.written);
+            self.buf.drain(..cut);
+            self.written -= cut;
         }
-        let start = self.buf.len();
         write_varint(&mut self.buf, from.index() as u64);
         write_varint(&mut self.buf, (head.len() + body.len()) as u64);
         self.buf.extend_from_slice(head);
         self.buf.extend_from_slice(body);
-        self.frame_lens.push_back(self.buf.len() - start);
     }
+}
 
-    /// Books `k` freshly written bytes against the per-frame lengths.
-    fn advance(&mut self, mut k: usize) {
-        self.written += k;
-        while let Some(&len) = self.frame_lens.front() {
-            let remaining = len - self.front_written;
-            if k < remaining {
-                self.front_written += k;
-                break;
-            }
-            k -= remaining;
-            self.front_written = 0;
-            self.frame_lens.pop_front();
+/// Walks a write queue's framing headers from offset 0 and returns the start
+/// of the first frame not fully written by `written`, and how many frames
+/// from there on are unfinished (the queue's length if every frame is done).
+fn unfinished_frames(buf: &[u8], written: usize) -> (usize, u64) {
+    let mut start = 0;
+    let mut cut = None;
+    let mut unfinished = 0;
+    while let Some(end) = frame_end(buf, start) {
+        if end > written {
+            cut.get_or_insert(start);
+            unfinished += 1;
         }
+        start = end;
     }
+    (cut.unwrap_or(start), unfinished)
+}
+
+/// End offset of the queued frame whose header starts at `start`; `None` at
+/// the end of the queue.
+fn frame_end(buf: &[u8], start: usize) -> Option<usize> {
+    let rest = buf.get(start..)?;
+    let (_, from_len) = read_varint(rest).ok()?;
+    let (len, len_len) = read_varint(rest.get(from_len..)?).ok()?;
+    (start + from_len + len_len).checked_add(usize::try_from(len).ok()?)
 }
 
 /// Endpoint of the [`SocketTransport`].
@@ -640,7 +651,9 @@ impl SocketEndpoint {
         };
         loop {
             if conn.written == conn.buf.len() {
-                conn.buf.clear();
+                // Release rather than clear: a buffer kept per connection
+                // would hold every peer's largest step burst for the run.
+                conn.buf = Vec::new();
                 conn.written = 0;
                 return Ok(());
             }
@@ -650,13 +663,13 @@ impl SocketEndpoint {
                     // can take nothing; treat like WouldBlock.
                     return Ok(());
                 }
-                Ok(k) => conn.advance(k),
+                Ok(k) => conn.written += k,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) if is_peer_death(&e) => {
-                    // Every queued frame (including a partially written
+                    // Every unfinished frame (including a partially written
                     // front) was accepted as Sent and will never arrive.
-                    self.pending_lost += conn.frame_lens.len() as u64;
+                    self.pending_lost += unfinished_frames(&conn.buf, conn.written).1;
                     self.outbound[slot] = None;
                     self.dead[slot] = true;
                     return Ok(());
@@ -673,8 +686,9 @@ impl SocketEndpoint {
             .map_or(0, |conn| conn.queued_bytes())
     }
 
-    /// Queues `head ++ body` toward `to` behind the stream framing header,
-    /// then makes opportunistic flush progress under the backpressure cap.
+    /// Queues `head ++ body` toward `to` behind the stream framing header.
+    /// Nothing is written here unless the queue exceeds the backpressure
+    /// cap: the bytes move at the caller's next [`Endpoint::flush`].
     fn send_parts(
         &mut self,
         to: ProcessId,
@@ -706,8 +720,6 @@ impl SocketEndpoint {
             return Ok(SendOutcome::Lost);
         };
         conn.enqueue(self.pid, head, body);
-        // Opportunistic drain keeps queues shallow on an unclogged socket.
-        self.flush_slot(slot)?;
         // Backpressure: refuse to let one slow peer absorb unbounded memory.
         let mut spins = 0u32;
         while self.backlog_bytes(slot) > MAX_BACKLOG_BYTES {
@@ -1006,6 +1018,69 @@ mod tests {
             alive.send(ProcessId(1), b"into the void").unwrap();
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
+    }
+
+    /// Queues `K` frames behind one the peer never accepted, drops the peer,
+    /// and checks that flushing reports exactly those `K` as lost, once.
+    fn queued_frames_to_a_dropped_peer_are_lost_exactly_once<T: Transport>(transport: &T) {
+        const K: u64 = 5;
+        let mut endpoints = transport.open(2).unwrap();
+        let dead = endpoints.pop().unwrap();
+        let mut alive = endpoints.pop().unwrap();
+        // Connect and hand one frame to the kernel. The peer never accepts
+        // the connection, so dropping it resets the connection outright.
+        assert_eq!(alive.send(ProcessId(1), b"hi").unwrap(), SendOutcome::Sent);
+        assert_eq!(alive.flush().unwrap(), 0);
+        for _ in 0..K {
+            assert_eq!(
+                alive.send(ProcessId(1), b"doomed").unwrap(),
+                SendOutcome::Sent
+            );
+        }
+        drop(dead);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let lost: u64 = (0..4).map(|_| alive.flush().unwrap()).sum();
+        assert_eq!(lost, K);
+        assert_eq!(
+            alive.send(ProcessId(1), b"after").unwrap(),
+            SendOutcome::Lost
+        );
+        assert_eq!(alive.flush().unwrap(), 0);
+    }
+
+    #[test]
+    fn tcp_queued_frames_to_a_dropped_peer_are_lost_exactly_once() {
+        queued_frames_to_a_dropped_peer_are_lost_exactly_once(&SocketTransport::tcp());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn uds_queued_frames_to_a_dropped_peer_are_lost_exactly_once() {
+        queued_frames_to_a_dropped_peer_are_lost_exactly_once(&SocketTransport::uds());
+    }
+
+    #[test]
+    fn header_walk_finds_the_first_unfinished_frame_at_every_offset() {
+        // Payloads on both sides of the 1- and 2-byte length varint edges,
+        // and senders on both sides of the 1-byte edge.
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        for (from, size) in [(0, 0), (127, 127), (128, 128), (300, 300), (1, 0), (2, 128)] {
+            buf.extend(frame_bytes(ProcessId(from), &vec![0xA5; size]));
+            ends.push(buf.len());
+        }
+        for written in 0..=buf.len() {
+            // Running-sum model: frame i spans `ends[i - 1]..ends[i]`.
+            let first = ends.iter().position(|&end| end > written);
+            let cut = first.map_or(buf.len(), |i| if i == 0 { 0 } else { ends[i - 1] });
+            let unfinished = ends.iter().filter(|&&end| end > written).count() as u64;
+            assert_eq!(
+                unfinished_frames(&buf, written),
+                (cut, unfinished),
+                "written = {written}"
+            );
+        }
+        assert_eq!(unfinished_frames(&[], 0), (0, 0));
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! channel/TCP/UDS × lockstep/free-running — runs under both threading
 //! disciplines (thread-per-process and multiplexing reactors) by iterating
 //! [`live_harness::threadings`]: the reactor inherits every PR 5 acceptance
-//! case for free.
+//! case for free. Lockstep socket runs are also held bit-identical to the
+//! channel run of the same seed, one-shot and as a service.
 
-use agossip_core::{Ears, GossipSpec, Tears};
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Pacing, Threading};
+use agossip_core::{Ears, GossipSpec, LoopMode, Tears, Trivial};
+use agossip_runtime::{
+    run_live, run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig, ServiceReport,
+    SocketTransport, Threading,
+};
 use agossip_sim::ProcessId;
 use agossip_xtests::live_harness::{
     assert_bit_identical, live_vs_sim, threadings, DiffConfig, SimSide, TransportKind,
@@ -98,6 +102,56 @@ fn channel_lockstep_n32_with_crashes_is_bit_identical() {
         assert_bit_identical(&format!("reactors={reactors}"), &a, &c);
     }
     assert_checker_verified(TransportKind::Channel, &config);
+}
+
+/// Sockets change how bytes move, never the execution: the same `n = 32`
+/// crash run over TCP and UDS, on node threads and on 2 reactors, is
+/// bit-identical to the channel run.
+#[test]
+fn socket_lockstep_n32_with_crashes_matches_channels_bit_for_bit() {
+    let config = n32_crash_config(2008);
+    let reference = run_live(&config, &ChannelTransport, Ears::new).unwrap();
+    for threading in threadings() {
+        let mut config = config.clone();
+        config.threading = threading;
+        let tcp = run_live(&config, &SocketTransport::tcp(), Ears::new).unwrap();
+        assert_bit_identical(&format!("tcp, {threading:?}"), &reference, &tcp);
+        #[cfg(unix)]
+        {
+            let uds = run_live(&config, &SocketTransport::uds(), Ears::new).unwrap();
+            assert_bit_identical(&format!("uds, {threading:?}"), &reference, &uds);
+        }
+    }
+}
+
+/// The same for a pipelined service run: `Trivial` at `n = 16`, 64 epochs,
+/// 32 in flight, over UDS, matches channels on message and tick counts and
+/// on every epoch's lifecycle.
+#[cfg(unix)]
+#[test]
+fn uds_service_matches_channels_epoch_for_epoch() {
+    let live = LiveConfig::builder(16, 0, 2008)
+        .reactors(2)
+        .build()
+        .unwrap();
+    let config = ServiceConfig::new(live, 64)
+        .with_window(36)
+        .with_mode(LoopMode::Closed { in_flight: 32 });
+    let lifecycle = |report: &ServiceReport| -> Vec<(u64, u64, u64, u64)> {
+        report
+            .epochs
+            .iter()
+            .map(|e| (e.epoch, e.opened_at, e.settled_at, e.finalized_at))
+            .collect()
+    };
+    let channel = run_service(&config, &ChannelTransport, Trivial::new).unwrap();
+    let uds = run_service(&config, &SocketTransport::uds(), Trivial::new).unwrap();
+    assert!(channel.quiescent && channel.all_ok());
+    assert!(uds.quiescent && uds.all_ok());
+    assert_eq!(channel.epochs.len(), 64);
+    assert_eq!(uds.messages_sent, channel.messages_sent);
+    assert_eq!(uds.ticks, channel.ticks);
+    assert_eq!(lifecycle(&uds), lifecycle(&channel));
 }
 
 /// The acceptance criterion, TCP half: a live loopback-TCP run at `n = 32`
