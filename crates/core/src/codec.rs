@@ -360,6 +360,13 @@ impl<'a> Reader<'a> {
         self.bytes.get(start..self.pos).unwrap_or(&[])
     }
 
+    /// Borrows every byte after the cursor and advances to the end.
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
+        self.pos = self.bytes.len();
+        rest
+    }
+
     pub(crate) fn finish(self) -> Result<(), CodecError> {
         let left = self.bytes.len() - self.pos;
         if left != 0 {

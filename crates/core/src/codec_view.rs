@@ -19,6 +19,19 @@
 //! dense word region into the receiver's bitmap without ever materializing
 //! the sender's set.
 //!
+//! Validation happens once per shared body per reactor, not once per
+//! receiver. A broadcast body travels to every destination in one shared
+//! allocation; the live runtime runs `decode_view` on it the first time a
+//! reactor delivers it and flags every frame carrying bytes that passed
+//! ([`EncodedFrame::verified`](crate::EncodedFrame::verified)). For such a
+//! frame `tears` takes `decode_tears_verified`, which parses the header
+//! and the section head but not the payload varints: a dense section's
+//! length is the popcount of its word region, and its identity flag is
+//! computed only if a union asks for it. On the bytes `decode_view`
+//! accepts, both parses give the same view (pinned by the
+//! `verified_parse_differential` proptest below); on any other bytes the
+//! verified parse still never panics.
+//!
 //! Decoding never panics; this module is under the same `never-panic-decode`
 //! lint policy as `codec.rs`.
 
@@ -63,7 +76,9 @@ pub trait WireDecodeView: WireCodec {
 pub struct RumorSetView<'a> {
     repr: RumorViewRepr<'a>,
     len: usize,
-    identity: bool,
+    /// Known when the section was validated, computed on demand when it
+    /// was parsed verified.
+    identity: Option<bool>,
 }
 
 /// Which wire representation the section used, with its borrowed regions.
@@ -87,9 +102,13 @@ impl<'a> RumorSetView<'a> {
     }
 
     /// True if every payload equals its origin index (the plain-gossip
-    /// invariant; lets the union keep identity-compressed payloads).
+    /// invariant; lets the union keep identity-compressed payloads). A
+    /// verified parse did not walk the payloads, so this walks them.
     pub(crate) fn identity(&self) -> bool {
-        self.identity
+        self.identity.unwrap_or_else(|| {
+            self.iter()
+                .all(|rumor| rumor.payload == rumor.origin.index() as u64)
+        })
     }
 
     pub(crate) fn repr(&self) -> &RumorViewRepr<'a> {
@@ -160,7 +179,12 @@ impl Iterator for RumorViewIter<'_> {
                 *entries = entries.get(used..).unwrap_or(&[]);
                 let (payload, used) = read_varint(entries).ok()?;
                 *entries = entries.get(used..).unwrap_or(&[]);
-                let origin = usize::try_from(origin).ok()?;
+                // Validated entries are always under the cap. A verified
+                // parse of bytes that never passed validation stops here
+                // rather than hand out an id no set could hold.
+                let origin = usize::try_from(origin)
+                    .ok()
+                    .filter(|_| origin < MAX_WIRE_ID)?;
                 Some(Rumor::new(ProcessId(origin), payload))
             }
             RumorViewIter::Dense {
@@ -206,7 +230,7 @@ pub(crate) fn read_rumor_view<'a>(reader: &mut Reader<'a>) -> Result<RumorSetVie
                     entries: reader.since(start),
                 },
                 len: usize::try_from(count).map_err(|_| CodecError::IdOutOfRange(count))?,
-                identity,
+                identity: Some(identity),
             })
         }
         TAG_DENSE => {
@@ -235,7 +259,44 @@ pub(crate) fn read_rumor_view<'a>(reader: &mut Reader<'a>) -> Result<RumorSetVie
                     payloads: reader.since(payload_start),
                 },
                 len,
-                identity,
+                identity: Some(identity),
+            })
+        }
+        tag => Err(CodecError::BadSectionTag(tag)),
+    }
+}
+
+/// Parses a rumor-set section that ends its frame, from bytes that already
+/// passed [`read_rumor_view`]: the entries or payloads run to the end of the
+/// frame, a dense section's length is the popcount of its word region, and
+/// nothing past the section head is walked. On other bytes the view may
+/// describe garbage, but parsing and using it never panics.
+fn read_rumor_view_verified<'a>(reader: &mut Reader<'a>) -> Result<RumorSetView<'a>, CodecError> {
+    match reader.u8()? {
+        TAG_SPARSE => {
+            let count = reader.varint()?;
+            Ok(RumorSetView {
+                len: usize::try_from(count).map_err(|_| CodecError::IdOutOfRange(count))?,
+                repr: RumorViewRepr::Sparse {
+                    entries: reader.rest(),
+                },
+                identity: None,
+            })
+        }
+        TAG_DENSE => {
+            let word_count = reader.word_count()?;
+            let words = reader.take(word_count * 8)?;
+            let len = words
+                .chunks_exact(8)
+                .map(|chunk| usize::try_from(first_word(chunk).count_ones()).unwrap_or(0))
+                .sum();
+            Ok(RumorSetView {
+                repr: RumorViewRepr::Dense {
+                    words,
+                    payloads: reader.rest(),
+                },
+                len,
+                identity: None,
             })
         }
         tag => Err(CodecError::BadSectionTag(tag)),
@@ -515,16 +576,29 @@ impl WireDecodeView for TrivialMessage {
     }
 }
 
+fn read_tears_header(reader: &mut Reader<'_>) -> Result<TearsFlag, CodecError> {
+    match read_header(reader)? {
+        kind::TEARS_UP => Ok(TearsFlag::Up),
+        kind::TEARS_DOWN => Ok(TearsFlag::Down),
+        k => Err(CodecError::BadKind(k)),
+    }
+}
+
+/// [`TearsMessage::decode_view`] for bytes that already passed it (see the
+/// module docs): the same view, without walking the payload varints.
+pub(crate) fn decode_tears_verified(bytes: &[u8]) -> Result<TearsView<'_>, CodecError> {
+    let mut reader = Reader::new(bytes);
+    let flag = read_tears_header(&mut reader)?;
+    let rumors = read_rumor_view_verified(&mut reader)?;
+    Ok(TearsView { flag, rumors })
+}
+
 impl WireDecodeView for TearsMessage {
     type View<'a> = TearsView<'a>;
 
     fn decode_view(bytes: &[u8]) -> Result<TearsView<'_>, CodecError> {
         let mut reader = Reader::new(bytes);
-        let flag = match read_header(&mut reader)? {
-            kind::TEARS_UP => TearsFlag::Up,
-            kind::TEARS_DOWN => TearsFlag::Down,
-            k => return Err(CodecError::BadKind(k)),
-        };
+        let flag = read_tears_header(&mut reader)?;
         let rumors = read_rumor_view(&mut reader)?;
         reader.finish()?;
         Ok(TearsView { flag, rumors })
@@ -608,6 +682,7 @@ impl WireDecodeView for SyncMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EncodedFrame, GossipEngine};
     use std::sync::Arc;
 
     fn rumors(origins: &[usize]) -> RumorSet {
@@ -741,6 +816,204 @@ mod tests {
         let decoded = EarsMessage::decode(&bytes).unwrap();
         let owned_pairs: Vec<_> = decoded.informed.iter().collect();
         assert_eq!(from_view, owned_pairs);
+    }
+
+    /// SplitMix64: one seed fixes a whole case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..bound`; `bound` must be nonzero.
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// A random set over `0..n`: a density from nearly empty to full (so
+    /// both wire forms occur), runs of consecutive origins, and identity,
+    /// random or almost-identity payloads.
+    fn random_set(mix: &mut Mix, n: usize) -> RumorSet {
+        let percent = [1, 5, 30, 90, 100][mix.below(5)];
+        let payloads = mix.below(3);
+        let odd_one = mix.below(n);
+        let mut set = RumorSet::new();
+        let mut o = 0;
+        while o < n {
+            let run = 1 + mix.below(8);
+            let take = mix.below(100) < percent;
+            for origin in o..(o + run).min(n) {
+                if take {
+                    let payload = match payloads {
+                        0 => origin as u64,
+                        1 => mix.next(),
+                        _ if origin == odd_one => origin as u64 + 1,
+                        _ => origin as u64,
+                    };
+                    set.insert(Rumor::new(ProcessId(origin), payload));
+                }
+            }
+            o += run;
+        }
+        set
+    }
+
+    /// A receiver to test a view against: unrelated, a superset, or a
+    /// subset of the sender's set.
+    fn random_receiver(mix: &mut Mix, n: usize, sender: &RumorSet) -> RumorSet {
+        let mut receiver = random_set(mix, n);
+        match mix.below(3) {
+            0 => {}
+            1 => {
+                receiver.union(sender);
+            }
+            _ => {
+                receiver = sender.iter().filter(|_| mix.below(4) != 0).collect();
+            }
+        }
+        receiver
+    }
+
+    fn tears_frame(mix: &mut Mix, set: RumorSet) -> TearsMessage {
+        let flag = if mix.below(2) == 0 {
+            TearsFlag::Up
+        } else {
+            TearsFlag::Down
+        };
+        TearsMessage {
+            rumors: Arc::new(set),
+            flag,
+        }
+    }
+
+    /// The verified parse of `bytes` equals `decode_view`'s view, and a
+    /// receiver tests and merges both the same way.
+    fn assert_parses_agree(bytes: &[u8], receiver: &RumorSet) {
+        let checked = TearsMessage::decode_view(bytes).unwrap();
+        let trusted = decode_tears_verified(bytes).unwrap();
+        assert_eq!(checked.flag, trusted.flag);
+        let (a, b) = (&checked.rumors, &trusted.rumors);
+        assert_eq!(a.len(), b.len());
+        assert!(a.iter().eq(b.iter()), "iteration differs");
+        assert_eq!(a.identity(), b.identity());
+        assert_eq!(
+            matches!(a.repr(), RumorViewRepr::Dense { .. }),
+            matches!(b.repr(), RumorViewRepr::Dense { .. })
+        );
+        assert_eq!(
+            receiver.is_superset_of_view(a),
+            receiver.is_superset_of_view(b)
+        );
+        let (mut x, mut y) = (receiver.clone(), receiver.clone());
+        assert_eq!(x.union_view(a), y.union_view(b));
+        assert!(x.iter().eq(y.iter()), "unions differ");
+    }
+
+    /// A frame flagged verified.
+    struct Trusted<'a>(ProcessId, &'a [u8]);
+
+    impl EncodedFrame for Trusted<'_> {
+        fn sender(&self) -> ProcessId {
+            self.0
+        }
+
+        fn body(&self) -> &[u8] {
+            self.1
+        }
+
+        fn verified(&self) -> bool {
+            true
+        }
+    }
+
+    /// `PROPTEST_CASES` cases when it is set (the nightly Miri job runs a
+    /// handful), `default` otherwise.
+    fn cases(default: u32) -> proptest::prelude::ProptestConfig {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default);
+        proptest::prelude::ProptestConfig::with_cases(cases)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(cases(64))]
+
+        /// On every frame `decode_view` accepts — Up and Down, sparse and
+        /// dense, identity and arbitrary payloads, bare and inside an
+        /// `EpochMsg` — the verified parse gives the same view, and `tears`
+        /// reaches the same state whichever parse its frames take.
+        #[test]
+        fn verified_parse_differential(seed in proptest::prelude::any::<u64>(), n in 1usize..700) {
+            let mut mix = Mix(seed);
+            let n = if mix.below(4) == 0 { n.min(64) } else { n };
+            let ctx = crate::engine::GossipCtx::new(ProcessId(mix.below(n)), n, 0, seed);
+            let mut plain = crate::tears::Tears::new(ctx);
+            let mut trusting = plain.clone();
+            for _ in 0..4 {
+                let set = random_set(&mut mix, n);
+                let receiver = random_receiver(&mut mix, n, &set);
+                let msg = tears_frame(&mut mix, set);
+                let bytes = msg.encode();
+                assert_parses_agree(&bytes, &receiver);
+
+                let wrapped = crate::epoch::EpochMsg { epoch: mix.next() >> 40, inner: msg }.encode();
+                assert!(crate::epoch::EpochMsg::<TearsMessage>::decode_view(&wrapped).is_ok());
+                let (_, at) = crate::epoch::peel_epoch_header(&wrapped).unwrap();
+                assert_parses_agree(wrapped.get(at..).unwrap(), &receiver);
+
+                let from = ProcessId(mix.below(n));
+                assert_eq!(plain.deliver_encoded(&[(from, bytes.as_slice())]), 0);
+                assert_eq!(trusting.deliver_encoded(&[Trusted(from, &bytes)]), 0);
+                assert_eq!(plain.rumors(), trusting.rumors());
+                assert_eq!(plain.up_msg_count(), trusting.up_msg_count());
+            }
+        }
+
+        /// Arbitrary bytes flagged verified — noise behind a `tears` header,
+        /// and valid frames with a byte flipped, cut short or extended —
+        /// never panic the verified parse or the set operations on its view.
+        #[test]
+        fn verified_parse_never_panics(seed in proptest::prelude::any::<u64>(), n in 1usize..300) {
+            let mut mix = Mix(seed);
+            let mut inputs = Vec::new();
+            let noise: Vec<u8> = (0..mix.below(64)).map(|_| mix.next() as u8).collect();
+            let mut headed = vec![crate::codec::CODEC_VERSION, kind::TEARS_UP + mix.below(2) as u8];
+            headed.push(mix.below(3) as u8);
+            headed.extend_from_slice(&noise);
+            inputs.push(noise);
+            inputs.push(headed);
+            let set = random_set(&mut mix, n);
+            let valid = tears_frame(&mut mix, set).encode();
+            let mut flipped = valid.clone();
+            let at = mix.below(flipped.len());
+            flipped[at] ^= 1 << mix.below(8);
+            inputs.push(flipped);
+            inputs.push(valid[..mix.below(valid.len())].to_vec());
+            let mut extended = valid;
+            extended.extend((0..1 + mix.below(16)).map(|_| mix.next() as u8));
+            inputs.push(extended);
+
+            let receiver = random_set(&mut mix, n);
+            for bytes in &inputs {
+                if let Ok(view) = decode_tears_verified(bytes) {
+                    let rumors = &view.rumors;
+                    let _ = (rumors.len(), rumors.iter().count(), rumors.identity());
+                    let _ = receiver.is_superset_of_view(rumors);
+                    receiver.clone().union_view(rumors);
+                }
+                let mut engine = crate::tears::Tears::new(
+                    crate::engine::GossipCtx::new(ProcessId(0), n, 0, seed),
+                );
+                engine.deliver_encoded(&[Trusted(ProcessId(n - 1), bytes)]);
+            }
+        }
     }
 
     #[test]

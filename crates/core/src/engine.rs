@@ -82,15 +82,29 @@ pub fn broadcast<M: Clone>(out: &mut Vec<(ProcessId, M)>, targets: &[ProcessId],
 }
 
 /// One received, still-encoded frame awaiting delivery: the sender plus the
-/// encoded message bytes. The runtime's pending queues implement this so
+/// encoded message bytes. The runtime's due batches implement this so
 /// [`GossipEngine::deliver_encoded`] can walk a batch without the queue
 /// having to materialize `(ProcessId, &[u8])` pairs.
+///
+/// A broadcast body is shared by every frame that carries it, so the
+/// runtime validates it once per reactor and flags each of those frames
+/// [`EncodedFrame::verified`]; an engine may then parse the body without
+/// re-validating it.
 pub trait EncodedFrame {
     /// The process the frame came from.
     fn sender(&self) -> ProcessId;
 
     /// The encoded message body.
     fn body(&self) -> &[u8];
+
+    /// True when these exact body bytes already passed the receiving
+    /// engine's message-type [`WireDecodeView::decode_view`](crate::WireDecodeView::decode_view).
+    /// An engine may then skip the validating walk; it must still never
+    /// panic should the flag be wrong. Defaults to `false`: every body is
+    /// validated on delivery.
+    fn verified(&self) -> bool {
+        false
+    }
 }
 
 impl EncodedFrame for (ProcessId, &[u8]) {
@@ -134,7 +148,9 @@ pub trait GossipEngine {
     /// default does. The set-carrying protocols override it to decode
     /// borrowed views ([`crate::codec_view`]) and fold the whole batch into
     /// their state with at most one copy-on-write per set per batch,
-    /// instead of one owned decode + one potential `Arc` copy per message.
+    /// instead of one owned decode + one potential `Arc` copy per message;
+    /// `tears` also skips the validating walk of a body flagged
+    /// [`EncodedFrame::verified`].
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize
     where
         Self::Msg: crate::codec::WireCodec,

@@ -112,6 +112,28 @@ impl<M: WireDecodeView> WireDecodeView for EpochMsg<M> {
     }
 }
 
+/// The nested frame of one envelope in an [`EpochMux`] batch, with the
+/// envelope's sender and verdict.
+struct NestedFrame<'a> {
+    from: ProcessId,
+    body: &'a [u8],
+    verified: bool,
+}
+
+impl EncodedFrame for NestedFrame<'_> {
+    fn sender(&self) -> ProcessId {
+        self.from
+    }
+
+    fn body(&self) -> &[u8] {
+        self.body
+    }
+
+    fn verified(&self) -> bool {
+        self.verified
+    }
+}
+
 /// Parses the envelope header of an encoded [`EpochMsg`]: validates the
 /// codec version and the `kind::EPOCH` discriminant, reads the varint
 /// epoch, and returns `(epoch, offset)` where `offset` is the start of the
@@ -589,21 +611,24 @@ where
     where
         Self::Msg: WireCodec,
     {
-        /// One epoch's slice of the incoming batch, in arrival order.
-        type EpochBatch<'a> = Vec<(ProcessId, &'a [u8])>;
         let mut errors = 0usize;
         // Group the batch by epoch (preserving arrival order within each
         // epoch) using only the cheap envelope-header parse, so each open
         // engine still gets its nested frames as one batch and keeps its
-        // batched-union fast path.
-        let mut groups: Vec<(u64, EpochBatch<'_>)> = Vec::new();
+        // batched-union fast path. A verified envelope verifies its nested
+        // frame: `decode_view` of the envelope validated it.
+        let mut groups: Vec<(u64, Vec<NestedFrame<'_>>)> = Vec::new();
         for frame in frames {
             match peel_epoch_header(frame.body()) {
                 Ok((epoch, at)) => {
-                    let inner = frame.body().get(at..).unwrap_or(&[]);
+                    let nested = NestedFrame {
+                        from: frame.sender(),
+                        body: frame.body().get(at..).unwrap_or(&[]),
+                        verified: frame.verified(),
+                    };
                     match groups.iter_mut().find(|(e, _)| *e == epoch) {
-                        Some((_, batch)) => batch.push((frame.sender(), inner)),
-                        None => groups.push((epoch, vec![(frame.sender(), inner)])),
+                        Some((_, batch)) => batch.push(nested),
+                        None => groups.push((epoch, vec![nested])),
                     }
                 }
                 Err(_) => errors += 1,

@@ -346,7 +346,9 @@ impl RumorSet {
                 else {
                     return 0;
                 };
-                let added = if view.identity() && matches!(own, Payloads::Identity) {
+                // The receiver's own form first: a view parsed verified
+                // computes its identity by walking the payloads.
+                let added = if matches!(own, Payloads::Identity) && view.identity() {
                     // The gossip hot path: membership OR, no payload work.
                     present.or_le_words(words)
                 } else {

@@ -48,7 +48,7 @@ use rand::{Rng, SeedableRng};
 
 use agossip_sim::ProcessId;
 
-use crate::codec_view::WireDecodeView;
+use crate::codec_view::{decode_tears_verified, WireDecodeView};
 use crate::engine::{broadcast, EncodedFrame, GossipCtx, GossipEngine};
 use crate::params::TearsParams;
 use crate::rumor::RumorSet;
@@ -301,16 +301,22 @@ impl GossipEngine for Tears {
     }
 
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize {
-        // Batched form of `deliver`: one borrowed-view decode walk per body,
-        // then per frame the same skip-or-test-then-union, keyed on the
-        // frame's sender and the decoded set's size. A frame that fails to
-        // decode is counted and leaves the marks alone. The rumor sections
-        // fold in with at most one copy-on-write of the state — the first
-        // fresh view pays the `Arc` copy, every later `make_mut` sees a
-        // unique handle.
+        // Batched form of `deliver`: one borrowed-view parse per frame —
+        // the verified parse, which skips the payload walk, when the
+        // runtime already validated the body — then per frame the same
+        // skip-or-test-then-union, keyed on the frame's sender and the
+        // decoded set's size. A frame that fails to decode is counted and
+        // leaves the marks alone. The rumor sections fold in with at most
+        // one copy-on-write of the state — the first fresh view pays the
+        // `Arc` copy, every later `make_mut` sees a unique handle.
         let mut errors = 0usize;
         for frame in frames {
-            match TearsMessage::decode_view(frame.body()) {
+            let view = if frame.verified() {
+                decode_tears_verified(frame.body())
+            } else {
+                TearsMessage::decode_view(frame.body())
+            };
+            match view {
                 Ok(view) => {
                     self.count_flag(view.flag);
                     if self

@@ -595,6 +595,7 @@ mod tests {
     use crate::transport::{ChannelTransport, RawFrame, SendOutcome, SocketTransport};
     use agossip_core::{check_gossip, Ears, GossipSpec, Rumor, Tears, Trivial};
     use parking_lot::Mutex;
+    use std::sync::atomic::AtomicU64;
 
     fn initial_rumors(n: usize) -> Vec<Rumor> {
         (0..n).map(|i| Rumor::new(ProcessId(i), i as u64)).collect()
@@ -942,6 +943,113 @@ mod tests {
             "{} polls",
             counts.polls
         );
+    }
+
+    /// Channels on which every broadcast body of one sender arrives with a
+    /// bit flipped. Each distinct body is replaced by one corrupt copy,
+    /// shared by all of its destinations as the original would have been,
+    /// so a reactor's record of verified bodies meets it.
+    struct CorruptSender {
+        victim: ProcessId,
+        corrupt_frames: Arc<AtomicU64>,
+    }
+
+    struct CorruptingEndpoint {
+        inner: crate::transport::ChannelEndpoint,
+        victim: bool,
+        /// The last original body, and its corrupt copy.
+        original: Arc<[u8]>,
+        copy: Arc<[u8]>,
+        corrupt_frames: Arc<AtomicU64>,
+    }
+
+    impl Transport for CorruptSender {
+        type Endpoint = CorruptingEndpoint;
+
+        fn name(&self) -> &'static str {
+            "corrupting-channel"
+        }
+
+        fn open(&self, n: usize) -> Result<Vec<CorruptingEndpoint>, RuntimeError> {
+            Ok(ChannelTransport
+                .open(n)?
+                .into_iter()
+                .map(|inner| CorruptingEndpoint {
+                    victim: inner.pid() == self.victim,
+                    inner,
+                    original: Arc::new([]),
+                    copy: Arc::new([]),
+                    corrupt_frames: Arc::clone(&self.corrupt_frames),
+                })
+                .collect())
+        }
+    }
+
+    impl Endpoint for CorruptingEndpoint {
+        fn pid(&self) -> ProcessId {
+            self.inner.pid()
+        }
+
+        fn send(&mut self, to: ProcessId, payload: &[u8]) -> Result<SendOutcome, RuntimeError> {
+            self.inner.send(to, payload)
+        }
+
+        fn send_shared(
+            &mut self,
+            to: ProcessId,
+            head: &[u8],
+            body: &Arc<[u8]>,
+        ) -> Result<SendOutcome, RuntimeError> {
+            if !self.victim {
+                return self.inner.send_shared(to, head, body);
+            }
+            if !Arc::ptr_eq(&self.original, body) {
+                // The top bit of the last byte: the final payload varint
+                // never terminates. That byte lies in the region a verified
+                // parse skips, so a trusted corrupt body would be delivered
+                // rather than counted.
+                let mut bytes = body.to_vec();
+                if let Some(last) = bytes.last_mut() {
+                    *last ^= 0x80;
+                }
+                self.original = Arc::clone(body);
+                self.copy = Arc::from(bytes);
+            }
+            let outcome = self.inner.send_shared(to, head, &self.copy)?;
+            if outcome == SendOutcome::Sent {
+                self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(outcome)
+        }
+
+        fn poll_into(&mut self, out: &mut Vec<RawFrame>) -> Result<(), RuntimeError> {
+            self.inner.poll_into(out)
+        }
+    }
+
+    #[test]
+    fn corrupt_shared_bodies_are_never_trusted() {
+        let n = 32;
+        let corrupt_frames = Arc::new(AtomicU64::new(0));
+        let transport = CorruptSender {
+            victim: ProcessId(0),
+            corrupt_frames: Arc::clone(&corrupt_frames),
+        };
+        let config = LiveConfig::lockstep(n, n / 2 - 1, 11).on_reactors(2);
+        let report = run_live(&config, &transport, Tears::new).unwrap();
+        let corrupt_frames = corrupt_frames.load(Ordering::Relaxed);
+        assert!(report.quiescent);
+        assert!(corrupt_frames > 0);
+        assert_eq!(report.decode_errors, corrupt_frames);
+        assert_eq!(
+            report.messages_delivered + report.decode_errors,
+            report.messages_sent
+        );
+        // The victim's rumor reached nobody; everyone else's did.
+        for (p, rumors) in report.final_rumors.iter().enumerate().skip(1) {
+            assert!(!rumors.contains_origin(ProcessId(0)), "process {p}");
+            assert_eq!(rumors.len(), n - 1, "process {p}");
+        }
     }
 
     #[test]

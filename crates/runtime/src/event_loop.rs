@@ -8,7 +8,8 @@
 //! * [`Slot::poll`] — push queued outbound bytes, drain the endpoint, book
 //!   every frame taken off the transport as consumed;
 //! * [`Slot::deliver_due`] — fold every pending frame whose deadline has
-//!   come into the engine as one batch;
+//!   come into the engine as one batch, each shared body validated once per
+//!   reactor ([`VerifiedBodies`]);
 //! * [`Slot::step`] — one local step: run the engine, encode each distinct
 //!   outgoing message once, stamp and send it, then flush once.
 //!
@@ -23,10 +24,17 @@
 //! stay encoded until delivery. A frame that fails to decode is counted and
 //! dropped — a byte-corrupting link is message loss in the model, and the
 //! codec's typed errors guarantee it can never panic the loop.
+//!
+//! A broadcast over channels hands every destination the same encoded body
+//! allocation. Each reactor validates such a body once, the first time it
+//! delivers it, and keeps the verdict while any frame still carries the
+//! body; every frame of a body that passed reaches its engine flagged
+//! verified, and a body that failed is validated, and counted, per frame as
+//! before. No bytes reach an engine unvalidated.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -138,7 +146,8 @@ pub(crate) struct NodeOutcome {
 /// A still-encoded message waiting out its delivery deadline, min-heap
 /// ordered on `(at, from, seq)`. The body stays encoded (and, for broadcast
 /// fast-path frames, shared) until delivery, when the whole due batch is
-/// folded into the engine through [`GossipEngine::deliver_encoded`].
+/// folded into the engine through [`GossipEngine::deliver_encoded`] (see
+/// [`Due`]).
 ///
 /// Under lockstep `at` is the delivery tick and `seq` the sender's own
 /// sequence number, both read off the frame's stamp: `(from, seq)` is
@@ -159,13 +168,66 @@ pub(crate) struct Pending<T> {
     pub(crate) msg_at: usize,
 }
 
-impl<T> EncodedFrame for Pending<T> {
+/// A pending frame popped for delivery, with the reactor's verdict on its
+/// body (see [`VerifiedBodies`]). The flag rides here rather than on
+/// [`Pending`] so that the heap, which holds every in-flight frame, does not
+/// grow by it.
+pub(crate) struct Due<T> {
+    frame: Pending<T>,
+    verified: bool,
+}
+
+impl<T> EncodedFrame for Due<T> {
     fn sender(&self) -> ProcessId {
-        self.from
+        self.frame.from
     }
 
     fn body(&self) -> &[u8] {
-        self.body.as_slice().get(self.msg_at..).unwrap_or(&[])
+        let frame = &self.frame;
+        frame.body.as_slice().get(frame.msg_at..).unwrap_or(&[])
+    }
+
+    fn verified(&self) -> bool {
+        self.verified
+    }
+}
+
+/// One reactor's record of the shared broadcast bodies it has validated.
+///
+/// A broadcast body reaches every destination in one `Arc<[u8]>`, so a
+/// reactor hosting several of them would otherwise run the same
+/// [`WireDecodeView::decode_view`] walk once per receiver. The record maps a
+/// shared body's allocation address to the verdict of that walk, run on the
+/// first delivery of the body, and every later frame carrying it is handed
+/// to the engine flagged [`EncodedFrame::verified`]. Each entry holds a
+/// [`Weak`] to its body: that pins the allocation, so no other body can
+/// occupy a recorded address while the entry exists. Owned bodies (socket
+/// frames) and bodies that carry a stamp inline are never recorded. The
+/// record is reactor-local: nothing here is shared between threads.
+#[derive(Default)]
+pub(crate) struct VerifiedBodies {
+    entries: HashMap<usize, (Weak<[u8]>, bool)>,
+}
+
+impl VerifiedBodies {
+    /// Whether `frame`'s body is a shared body that passed
+    /// `M::decode_view`, validating it on its first sight.
+    fn check<M: WireDecodeView, T>(&mut self, frame: &Pending<T>) -> bool {
+        let (FrameBody::Shared(body), 0) = (&frame.body, frame.msg_at) else {
+            return false;
+        };
+        let address = Arc::as_ptr(body).cast::<u8>().addr();
+        self.entries
+            .entry(address)
+            .or_insert_with(|| (Arc::downgrade(body), M::decode_view(body).is_ok()))
+            .1
+    }
+
+    /// Drops the entries whose body no frame carries any more, releasing
+    /// their allocations. Called once per lockstep tick and once per
+    /// free-running sweep.
+    pub(crate) fn evict_dead(&mut self) {
+        self.entries.retain(|_, (body, _)| body.strong_count() > 0);
     }
 }
 
@@ -289,19 +351,27 @@ where
 
     /// Pops every pending frame due by `now` (the heap top is the earliest,
     /// so this touches only due frames) and folds the batch into the engine
-    /// in one call: one view-decode walk per body, batched unions inside the
-    /// engine. A body that fails to decode is counted and delivers nothing.
-    /// Returns whether anything was delivered.
+    /// in one call, batched unions inside the engine. Each frame whose body
+    /// is shared is looked up in the reactor's `verified` record, which
+    /// validates the body on its first sight; a frame whose body passed is
+    /// flagged [`EncodedFrame::verified`], so its engine may skip the
+    /// validating walk. Every other body is validated by the engine. A body
+    /// that fails to decode is counted and delivers nothing. Returns whether
+    /// anything was delivered.
     pub(crate) fn deliver_due(
         &mut self,
         shared: &SharedRun,
-        due: &mut Vec<Pending<T>>,
+        verified: &mut VerifiedBodies,
+        due: &mut Vec<Due<T>>,
         now: T,
     ) -> bool {
         due.clear();
         while self.pending.peek().is_some_and(|p| p.at <= now) {
-            let Some(p) = self.pending.pop() else { break };
-            due.push(p);
+            let Some(frame) = self.pending.pop() else {
+                break;
+            };
+            let verified = verified.check::<G::Msg, T>(&frame);
+            due.push(Due { frame, verified });
         }
         if due.is_empty() {
             return false;
@@ -384,9 +454,9 @@ where
 /// Splits a received lockstep frame into `(deliver_tick, seq, offset of the
 /// message within the frame body)`. Only the stamp varints are parsed here;
 /// the message bytes stay untouched until the frame's tick comes up, where
-/// [`GossipEngine::deliver_encoded`] walks them exactly once — an
-/// undecodable body is counted as a decode error there, with the same
-/// totals as when polling validated eagerly.
+/// they are validated ([`Slot::deliver_due`]) — an undecodable body is
+/// counted as a decode error there, with the same totals as when polling
+/// validated eagerly.
 pub(crate) fn parse_lockstep_frame(frame: &RawFrame) -> Result<(u64, u64, usize), CodecError> {
     let head = frame.head();
     let body = frame.body();
@@ -415,5 +485,103 @@ pub(crate) fn free_frame_body(frame: RawFrame) -> FrameBody {
         frame.into_body()
     } else {
         FrameBody::Owned(frame.payload_to_vec())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use agossip_core::{Rumor, TrivialMessage};
+
+    fn body(origin: usize) -> Arc<[u8]> {
+        let msg = TrivialMessage {
+            rumor: Rumor::new(ProcessId(origin), 7),
+        };
+        Arc::from(msg.encode())
+    }
+
+    /// `body` with the top bit of its last byte set: the final varint never
+    /// terminates, so the bytes cannot decode.
+    fn corrupt(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        if let Some(last) = bytes.last_mut() {
+            *last ^= 0x80;
+        }
+        bytes
+    }
+
+    fn frame(body: FrameBody, msg_at: usize) -> Pending<u64> {
+        Pending {
+            at: 0,
+            from: ProcessId(1),
+            seq: 0,
+            body,
+            msg_at,
+        }
+    }
+
+    fn check(record: &mut VerifiedBodies, frame: &Pending<u64>) -> bool {
+        record.check::<TrivialMessage, u64>(frame)
+    }
+
+    #[test]
+    fn record_evicts_an_entry_once_no_frame_carries_its_body() {
+        let mut record = VerifiedBodies::default();
+        let shared = body(3);
+        let a = frame(FrameBody::Shared(Arc::clone(&shared)), 0);
+        let b = frame(FrameBody::Shared(Arc::clone(&shared)), 0);
+        drop(shared);
+        assert!(check(&mut record, &a));
+        assert!(check(&mut record, &b));
+        assert_eq!(record.entries.len(), 1, "one entry per body, not per frame");
+        drop(a);
+        record.evict_dead();
+        assert_eq!(record.entries.len(), 1, "frame `b` still carries the body");
+        drop(b);
+        record.evict_dead();
+        assert!(record.entries.is_empty());
+    }
+
+    #[test]
+    fn record_never_serves_a_verdict_for_another_allocation() {
+        let mut record = VerifiedBodies::default();
+        for round in 0..64 {
+            let good = body(round);
+            assert!(check(
+                &mut record,
+                &frame(FrameBody::Shared(Arc::clone(&good)), 0)
+            ));
+            // Dead but not yet evicted: the entry pins the allocation, so a
+            // body of the same size allocated now cannot take its address.
+            let bad_bytes = corrupt(&good);
+            assert!(TrivialMessage::decode_view(&bad_bytes).is_err());
+            drop(good);
+            let bad: Arc<[u8]> = Arc::from(bad_bytes.as_slice());
+            assert!(!check(&mut record, &frame(FrameBody::Shared(bad), 0)));
+            // Evicted: a new body may take the freed address, and is
+            // validated afresh.
+            record.evict_dead();
+            assert!(record.entries.is_empty());
+            let reused: Arc<[u8]> = Arc::from(bad_bytes.as_slice());
+            assert!(!check(&mut record, &frame(FrameBody::Shared(reused), 0)));
+            record.evict_dead();
+        }
+    }
+
+    #[test]
+    fn record_covers_only_shared_unstamped_bodies() {
+        let mut record = VerifiedBodies::default();
+        let good = body(5);
+        assert!(!check(
+            &mut record,
+            &frame(FrameBody::Owned(good.to_vec()), 0)
+        ));
+        let mut stamped = vec![0u8];
+        stamped.extend_from_slice(&good);
+        assert!(!check(
+            &mut record,
+            &frame(FrameBody::Shared(Arc::from(stamped)), 1)
+        ));
+        assert!(record.entries.is_empty());
     }
 }

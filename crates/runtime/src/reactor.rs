@@ -24,6 +24,12 @@
 //! epoll wakeup storm would degrade to; the architectural payoff — thousands
 //! of processes on a handful of threads — is identical.
 //!
+//! A reactor validates each shared broadcast body once, however many of
+//! its processes receive it, and hands every frame carrying it to its engine
+//! flagged verified (see `event_loop`'s `VerifiedBodies`). That record is
+//! the reactor's own; entries whose body no frame carries any more are
+//! evicted once per lockstep tick and once per free-running sweep.
+//!
 //! There is one loop body per *pacing* discipline (see
 //! [`crate::driver::Pacing`]); what a slot does when its turn comes is the
 //! same in both and lives in `event_loop.rs`.
@@ -80,7 +86,8 @@ use agossip_core::{GossipEngine, WireCodec, WireDecodeView};
 use agossip_sim::ProcessId;
 
 use crate::event_loop::{
-    free_frame_body, parse_lockstep_frame, NodeOutcome, Pending, ReactorProc, SharedRun, Slot,
+    free_frame_body, parse_lockstep_frame, Due, NodeOutcome, Pending, ReactorProc, SharedRun, Slot,
+    VerifiedBodies,
 };
 use crate::transport::{Endpoint, RawFrame};
 
@@ -115,7 +122,8 @@ where
         .map(|proc| Slot::new(proc, seed ^ 0x11FE))
         .collect();
     let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<Pending<u64>> = Vec::new();
+    let mut verified = VerifiedBodies::default();
+    let mut due: Vec<Due<u64>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
     let mut head: Vec<u8> = Vec::new();
     let mut tick = 0u64;
@@ -170,7 +178,7 @@ where
         for slot in slots.iter_mut() {
             let mut active = false;
             if !slot.crashed {
-                active = slot.deliver_due(shared, &mut due, tick);
+                active = slot.deliver_due(shared, &mut verified, &mut due, tick);
                 if slot.crash_due() {
                     slot.crashed = true;
                     slot.pending.clear();
@@ -197,6 +205,7 @@ where
             let quiet = slot.crashed || (!active && slot.is_idle());
             shared.quiet[slot.pid.index()].store(quiet, Ordering::Relaxed);
         }
+        verified.evict_dead();
 
         // --- Quiet check: the driver inspects the flags between the two
         // barriers and decides whether the run is over. ------------------
@@ -233,7 +242,8 @@ where
         .collect();
     let mut outcomes: Vec<(ProcessId, NodeOutcome)> = Vec::with_capacity(slots.len());
     let mut frames: Vec<RawFrame> = Vec::new();
-    let mut due: Vec<Pending<Duration>> = Vec::new();
+    let mut verified = VerifiedBodies::default();
+    let mut due: Vec<Due<Duration>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
     let mut head: Vec<u8> = Vec::new();
     let mut arrival_seq = 0u64;
@@ -264,7 +274,7 @@ where
                     });
                     arrival_seq += 1;
                 }
-                let mut active = slot.deliver_due(shared, &mut due, now);
+                let mut active = slot.deliver_due(shared, &mut verified, &mut due, now);
                 if now >= slot.next_step_at {
                     let pause = Duration::from_micros(slot.rng.gen_range(0..=max_pause_us));
                     slot.next_step_at = now + pause;
@@ -291,6 +301,7 @@ where
             }
             alive
         });
+        verified.evict_dead();
         if !any_active {
             std::thread::sleep(IDLE_SWEEP_PAUSE);
         }
