@@ -22,15 +22,17 @@
 //! Validation happens once per shared body per reactor, not once per
 //! receiver. A broadcast body travels to every destination in one shared
 //! allocation; the live runtime runs `decode_view` on it the first time a
-//! reactor delivers it and flags every frame carrying bytes that passed
+//! reactor delivers it and hands every frame carrying bytes that passed
+//! what that parse found: validity and the view's
+//! [`WireDecodeView::view_identity`]
 //! ([`EncodedFrame::verified`](crate::EncodedFrame::verified)). For such a
 //! frame `tears` takes `decode_tears_verified`, which parses the header
 //! and the section head but not the payload varints: a dense section's
-//! length is the popcount of its word region, and its identity flag is
-//! computed only if a union asks for it. On the bytes `decode_view`
-//! accepts, both parses give the same view (pinned by the
-//! `verified_parse_differential` proptest below); on any other bytes the
-//! verified parse still never panics.
+//! length is the popcount of its word region, and its identity flag is the
+//! one the validation carried. On the bytes `decode_view` accepts, with
+//! the flag it reported, both parses give the same view (pinned by the
+//! `verified_parse_differential` proptest below); on any other bytes, or
+//! with a wrong flag, the verified parse still never panics.
 //!
 //! Decoding never panics; this module is under the same `never-panic-decode`
 //! lint policy as `codec.rs`.
@@ -66,6 +68,14 @@ pub trait WireDecodeView: WireCodec {
     /// Materializes the owned message a view describes (equals what
     /// [`WireCodec::decode`] returns for the same bytes).
     fn view_to_owned(view: &Self::View<'_>) -> Self;
+
+    /// True promises that every rumor payload in the view equals its
+    /// origin index, as the validating parse found. Defaults to `false`,
+    /// which promises nothing.
+    fn view_identity(view: &Self::View<'_>) -> bool {
+        let _ = view;
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -76,9 +86,8 @@ pub trait WireDecodeView: WireCodec {
 pub struct RumorSetView<'a> {
     repr: RumorViewRepr<'a>,
     len: usize,
-    /// Known when the section was validated, computed on demand when it
-    /// was parsed verified.
-    identity: Option<bool>,
+    /// Found by the validating parse, or carried from it to a verified one.
+    identity: bool,
 }
 
 /// Which wire representation the section used, with its borrowed regions.
@@ -103,12 +112,10 @@ impl<'a> RumorSetView<'a> {
 
     /// True if every payload equals its origin index (the plain-gossip
     /// invariant; lets the union keep identity-compressed payloads). A
-    /// verified parse did not walk the payloads, so this walks them.
+    /// verified parse did not walk the payloads: it reports the flag the
+    /// validating parse found.
     pub(crate) fn identity(&self) -> bool {
-        self.identity.unwrap_or_else(|| {
-            self.iter()
-                .all(|rumor| rumor.payload == rumor.origin.index() as u64)
-        })
+        self.identity
     }
 
     pub(crate) fn repr(&self) -> &RumorViewRepr<'a> {
@@ -230,7 +237,7 @@ pub(crate) fn read_rumor_view<'a>(reader: &mut Reader<'a>) -> Result<RumorSetVie
                     entries: reader.since(start),
                 },
                 len: usize::try_from(count).map_err(|_| CodecError::IdOutOfRange(count))?,
-                identity: Some(identity),
+                identity,
             })
         }
         TAG_DENSE => {
@@ -259,7 +266,7 @@ pub(crate) fn read_rumor_view<'a>(reader: &mut Reader<'a>) -> Result<RumorSetVie
                     payloads: reader.since(payload_start),
                 },
                 len,
-                identity: Some(identity),
+                identity,
             })
         }
         tag => Err(CodecError::BadSectionTag(tag)),
@@ -268,10 +275,14 @@ pub(crate) fn read_rumor_view<'a>(reader: &mut Reader<'a>) -> Result<RumorSetVie
 
 /// Parses a rumor-set section that ends its frame, from bytes that already
 /// passed [`read_rumor_view`]: the entries or payloads run to the end of the
-/// frame, a dense section's length is the popcount of its word region, and
-/// nothing past the section head is walked. On other bytes the view may
-/// describe garbage, but parsing and using it never panics.
-fn read_rumor_view_verified<'a>(reader: &mut Reader<'a>) -> Result<RumorSetView<'a>, CodecError> {
+/// frame, a dense section's length is the popcount of its word region, the
+/// identity flag is the one `read_rumor_view` found, and nothing past the
+/// section head is walked. On other bytes, or with another flag, the view
+/// may describe garbage, but parsing and using it never panics.
+fn read_rumor_view_verified<'a>(
+    reader: &mut Reader<'a>,
+    identity: bool,
+) -> Result<RumorSetView<'a>, CodecError> {
     match reader.u8()? {
         TAG_SPARSE => {
             let count = reader.varint()?;
@@ -280,7 +291,7 @@ fn read_rumor_view_verified<'a>(reader: &mut Reader<'a>) -> Result<RumorSetView<
                 repr: RumorViewRepr::Sparse {
                     entries: reader.rest(),
                 },
-                identity: None,
+                identity,
             })
         }
         TAG_DENSE => {
@@ -296,7 +307,7 @@ fn read_rumor_view_verified<'a>(reader: &mut Reader<'a>) -> Result<RumorSetView<
                     payloads: reader.rest(),
                 },
                 len,
-                identity: None,
+                identity,
             })
         }
         tag => Err(CodecError::BadSectionTag(tag)),
@@ -584,12 +595,16 @@ fn read_tears_header(reader: &mut Reader<'_>) -> Result<TearsFlag, CodecError> {
     }
 }
 
-/// [`TearsMessage::decode_view`] for bytes that already passed it (see the
-/// module docs): the same view, without walking the payload varints.
-pub(crate) fn decode_tears_verified(bytes: &[u8]) -> Result<TearsView<'_>, CodecError> {
+/// [`TearsMessage::decode_view`] for bytes that already passed it, with the
+/// `identity` its view reported (see the module docs): the same view,
+/// without walking the payload varints.
+pub(crate) fn decode_tears_verified(
+    bytes: &[u8],
+    identity: bool,
+) -> Result<TearsView<'_>, CodecError> {
     let mut reader = Reader::new(bytes);
     let flag = read_tears_header(&mut reader)?;
-    let rumors = read_rumor_view_verified(&mut reader)?;
+    let rumors = read_rumor_view_verified(&mut reader, identity)?;
     Ok(TearsView { flag, rumors })
 }
 
@@ -609,6 +624,10 @@ impl WireDecodeView for TearsMessage {
             rumors: std::sync::Arc::new(view.rumors.to_set()),
             flag: view.flag,
         }
+    }
+
+    fn view_identity(view: &TearsView<'_>) -> bool {
+        view.rumors.identity()
     }
 }
 
@@ -864,20 +883,21 @@ mod tests {
         set
     }
 
-    /// A receiver to test a view against: unrelated, a superset, or a
-    /// subset of the sender's set.
-    fn random_receiver(mix: &mut Mix, n: usize, sender: &RumorSet) -> RumorSet {
-        let mut receiver = random_set(mix, n);
-        match mix.below(3) {
-            0 => {}
-            1 => {
-                receiver.union(sender);
-            }
-            _ => {
-                receiver = sender.iter().filter(|_| mix.below(4) != 0).collect();
-            }
-        }
-        receiver
+    /// Receivers to test a view against: unrelated ones with identity and
+    /// with explicit payloads, a superset and a subset of the sender's set.
+    fn receivers(mix: &mut Mix, n: usize, sender: &RumorSet) -> [RumorSet; 4] {
+        let identity = random_set(mix, n)
+            .iter()
+            .map(|r| Rumor::new(r.origin, r.origin.index() as u64))
+            .collect();
+        let explicit = random_set(mix, n)
+            .iter()
+            .map(|r| Rumor::new(r.origin, mix.next() | 1 << 63))
+            .collect();
+        let mut superset = random_set(mix, n);
+        superset.union(sender);
+        let subset = sender.iter().filter(|_| mix.below(4) != 0).collect();
+        [identity, explicit, superset, subset]
     }
 
     fn tears_frame(mix: &mut Mix, set: RumorSet) -> TearsMessage {
@@ -892,31 +912,39 @@ mod tests {
         }
     }
 
-    /// The verified parse of `bytes` equals `decode_view`'s view, and a
+    /// The verified parse of `bytes`, given the `identity` flag the
+    /// validating parse reported, equals `decode_view`'s view, and every
     /// receiver tests and merges both the same way.
-    fn assert_parses_agree(bytes: &[u8], receiver: &RumorSet) {
+    fn assert_parses_agree(bytes: &[u8], identity: bool, receivers: &[RumorSet]) {
         let checked = TearsMessage::decode_view(bytes).unwrap();
-        let trusted = decode_tears_verified(bytes).unwrap();
+        let trusted = decode_tears_verified(bytes, identity).unwrap();
         assert_eq!(checked.flag, trusted.flag);
         let (a, b) = (&checked.rumors, &trusted.rumors);
         assert_eq!(a.len(), b.len());
         assert!(a.iter().eq(b.iter()), "iteration differs");
+        assert_eq!(
+            a.identity(),
+            a.iter().all(|r| r.payload == r.origin.index() as u64),
+            "the validating parse's flag is what a walk finds"
+        );
         assert_eq!(a.identity(), b.identity());
         assert_eq!(
             matches!(a.repr(), RumorViewRepr::Dense { .. }),
             matches!(b.repr(), RumorViewRepr::Dense { .. })
         );
-        assert_eq!(
-            receiver.is_superset_of_view(a),
-            receiver.is_superset_of_view(b)
-        );
-        let (mut x, mut y) = (receiver.clone(), receiver.clone());
-        assert_eq!(x.union_view(a), y.union_view(b));
-        assert!(x.iter().eq(y.iter()), "unions differ");
+        for receiver in receivers {
+            assert_eq!(
+                receiver.is_superset_of_view(a),
+                receiver.is_superset_of_view(b)
+            );
+            let (mut x, mut y) = (receiver.clone(), receiver.clone());
+            assert_eq!(x.union_view(a), y.union_view(b));
+            assert_eq!(x, y, "unions differ");
+        }
     }
 
-    /// A frame flagged verified.
-    struct Trusted<'a>(ProcessId, &'a [u8]);
+    /// A frame flagged verified, with the identity flag it carries.
+    struct Trusted<'a>(ProcessId, &'a [u8], bool);
 
     impl EncodedFrame for Trusted<'_> {
         fn sender(&self) -> ProcessId {
@@ -927,8 +955,8 @@ mod tests {
             self.1
         }
 
-        fn verified(&self) -> bool {
-            true
+        fn verified(&self) -> Option<bool> {
+            Some(self.2)
         }
     }
 
@@ -947,7 +975,8 @@ mod tests {
 
         /// On every frame `decode_view` accepts — Up and Down, sparse and
         /// dense, identity and arbitrary payloads, bare and inside an
-        /// `EpochMsg` — the verified parse gives the same view, and `tears`
+        /// `EpochMsg` — the verified parse, given the identity flag
+        /// `view_identity` reported, gives the same view, and `tears`
         /// reaches the same state whichever parse its frames take.
         #[test]
         fn verified_parse_differential(seed in proptest::prelude::any::<u64>(), n in 1usize..700) {
@@ -958,27 +987,31 @@ mod tests {
             let mut trusting = plain.clone();
             for _ in 0..4 {
                 let set = random_set(&mut mix, n);
-                let receiver = random_receiver(&mut mix, n, &set);
+                let receivers = receivers(&mut mix, n, &set);
                 let msg = tears_frame(&mut mix, set);
                 let bytes = msg.encode();
-                assert_parses_agree(&bytes, &receiver);
+                let identity = TearsMessage::view_identity(&TearsMessage::decode_view(&bytes).unwrap());
+                assert_parses_agree(&bytes, identity, &receivers);
 
-                let wrapped = crate::epoch::EpochMsg { epoch: mix.next() >> 40, inner: msg }.encode();
-                assert!(crate::epoch::EpochMsg::<TearsMessage>::decode_view(&wrapped).is_ok());
+                type Wrapped = crate::epoch::EpochMsg<TearsMessage>;
+                let wrapped = Wrapped { epoch: mix.next() >> 40, inner: msg }.encode();
+                let envelope = Wrapped::view_identity(&Wrapped::decode_view(&wrapped).unwrap());
+                assert_eq!(envelope, identity);
                 let (_, at) = crate::epoch::peel_epoch_header(&wrapped).unwrap();
-                assert_parses_agree(wrapped.get(at..).unwrap(), &receiver);
+                assert_parses_agree(wrapped.get(at..).unwrap(), envelope, &receivers);
 
                 let from = ProcessId(mix.below(n));
                 assert_eq!(plain.deliver_encoded(&[(from, bytes.as_slice())]), 0);
-                assert_eq!(trusting.deliver_encoded(&[Trusted(from, &bytes)]), 0);
+                assert_eq!(trusting.deliver_encoded(&[Trusted(from, &bytes, identity)]), 0);
                 assert_eq!(plain.rumors(), trusting.rumors());
                 assert_eq!(plain.up_msg_count(), trusting.up_msg_count());
             }
         }
 
-        /// Arbitrary bytes flagged verified — noise behind a `tears` header,
-        /// and valid frames with a byte flipped, cut short or extended —
-        /// never panic the verified parse or the set operations on its view.
+        /// Arbitrary bytes flagged verified, with either identity flag —
+        /// noise behind a `tears` header, and valid frames with a byte
+        /// flipped, cut short or extended — never panic the verified parse
+        /// or the set operations on its view.
         #[test]
         fn verified_parse_never_panics(seed in proptest::prelude::any::<u64>(), n in 1usize..300) {
             let mut mix = Mix(seed);
@@ -1001,8 +1034,8 @@ mod tests {
             inputs.push(extended);
 
             let receiver = random_set(&mut mix, n);
-            for bytes in &inputs {
-                if let Ok(view) = decode_tears_verified(bytes) {
+            for (bytes, identity) in inputs.iter().flat_map(|b| [(b, false), (b, true)]) {
+                if let Ok(view) = decode_tears_verified(bytes, identity) {
                     let rumors = &view.rumors;
                     let _ = (rumors.len(), rumors.iter().count(), rumors.identity());
                     let _ = receiver.is_superset_of_view(rumors);
@@ -1011,8 +1044,52 @@ mod tests {
                 let mut engine = crate::tears::Tears::new(
                     crate::engine::GossipCtx::new(ProcessId(0), n, 0, seed),
                 );
-                engine.deliver_encoded(&[Trusted(ProcessId(n - 1), bytes)]);
+                engine.deliver_encoded(&[Trusted(ProcessId(n - 1), bytes, identity)]);
             }
+        }
+    }
+
+    /// A frame flagged identity is unioned into an identity receiver as the
+    /// OR of its presence words, its payload region never read: not when
+    /// that region holds no valid varint, and not when it holds payloads
+    /// that a walk would find are not the identity.
+    #[test]
+    fn verified_identity_union_never_walks_payloads() {
+        let sender: RumorSet = (0..700)
+            .filter(|o| o % 3 != 0)
+            .map(|o| Rumor::new(ProcessId(o), o as u64))
+            .collect();
+        let receiver: RumorSet = (0..700)
+            .filter(|o| o % 5 == 0)
+            .map(|o| Rumor::new(ProcessId(o), o as u64))
+            .collect();
+        let bytes = TearsMessage {
+            rumors: Arc::new(sender.clone()),
+            flag: TearsFlag::Down,
+        }
+        .encode();
+        let view = TearsMessage::decode_view(&bytes).unwrap();
+        let RumorViewRepr::Dense { payloads, .. } = view.rumors.repr() else {
+            panic!("a dense frame");
+        };
+        let head = bytes.get(..bytes.len() - payloads.len()).unwrap().to_vec();
+        let not_varints = vec![0x80; payloads.len()];
+        let mut not_identity = Vec::new();
+        for rumor in sender.iter() {
+            crate::codec::write_varint(&mut not_identity, rumor.payload + 1);
+        }
+        let mut expected = receiver.clone();
+        expected.union(&sender);
+        for payload_region in [not_varints, not_identity] {
+            let mut lying = head.clone();
+            lying.extend_from_slice(&payload_region);
+            let view = decode_tears_verified(&lying, true).unwrap();
+            let mut union = receiver.clone();
+            assert_eq!(
+                union.union_view(&view.rumors),
+                expected.len() - receiver.len()
+            );
+            assert_eq!(union, expected);
         }
     }
 

@@ -87,9 +87,9 @@ pub fn broadcast<M: Clone>(out: &mut Vec<(ProcessId, M)>, targets: &[ProcessId],
 /// having to materialize `(ProcessId, &[u8])` pairs.
 ///
 /// A broadcast body is shared by every frame that carries it, so the
-/// runtime validates it once per reactor and flags each of those frames
-/// [`EncodedFrame::verified`]; an engine may then parse the body without
-/// re-validating it.
+/// runtime validates it once per reactor and hands each of those frames to
+/// the engine with what that validation found ([`EncodedFrame::verified`]);
+/// an engine may then parse the body without re-validating it.
 pub trait EncodedFrame {
     /// The process the frame came from.
     fn sender(&self) -> ProcessId;
@@ -97,13 +97,15 @@ pub trait EncodedFrame {
     /// The encoded message body.
     fn body(&self) -> &[u8];
 
-    /// True when these exact body bytes already passed the receiving
-    /// engine's message-type [`WireDecodeView::decode_view`](crate::WireDecodeView::decode_view).
-    /// An engine may then skip the validating walk; it must still never
-    /// panic should the flag be wrong. Defaults to `false`: every body is
-    /// validated on delivery.
-    fn verified(&self) -> bool {
-        false
+    /// `Some(identity)` when these exact body bytes already passed the
+    /// receiving engine's message-type
+    /// [`WireDecodeView::decode_view`](crate::WireDecodeView::decode_view),
+    /// with `identity` the [`WireDecodeView::view_identity`](crate::WireDecodeView::view_identity)
+    /// of the view that parse returned. An engine may then skip the
+    /// validating walk; it must still never panic should the value be
+    /// wrong. Defaults to `None`: every body is validated on delivery.
+    fn verified(&self) -> Option<bool> {
+        None
     }
 }
 
@@ -149,8 +151,8 @@ pub trait GossipEngine {
     /// borrowed views ([`crate::codec_view`]) and fold the whole batch into
     /// their state with at most one copy-on-write per set per batch,
     /// instead of one owned decode + one potential `Arc` copy per message;
-    /// `tears` also skips the validating walk of a body flagged
-    /// [`EncodedFrame::verified`].
+    /// `tears` also skips the validating walk of a body
+    /// [`EncodedFrame::verified`] says is valid.
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize
     where
         Self::Msg: crate::codec::WireCodec,

@@ -110,6 +110,10 @@ impl<M: WireDecodeView> WireDecodeView for EpochMsg<M> {
             inner: M::view_to_owned(&view.inner),
         }
     }
+
+    fn view_identity(view: &Self::View<'_>) -> bool {
+        M::view_identity(&view.inner)
+    }
 }
 
 /// The nested frame of one envelope in an [`EpochMux`] batch, with the
@@ -117,7 +121,7 @@ impl<M: WireDecodeView> WireDecodeView for EpochMsg<M> {
 struct NestedFrame<'a> {
     from: ProcessId,
     body: &'a [u8],
-    verified: bool,
+    verified: Option<bool>,
 }
 
 impl EncodedFrame for NestedFrame<'_> {
@@ -129,7 +133,7 @@ impl EncodedFrame for NestedFrame<'_> {
         self.body
     }
 
-    fn verified(&self) -> bool {
+    fn verified(&self) -> Option<bool> {
         self.verified
     }
 }
@@ -616,7 +620,8 @@ where
         // epoch) using only the cheap envelope-header parse, so each open
         // engine still gets its nested frames as one batch and keeps its
         // batched-union fast path. A verified envelope verifies its nested
-        // frame: `decode_view` of the envelope validated it.
+        // frame: `decode_view` of the envelope validated it, and the
+        // envelope's identity flag is the nested view's.
         let mut groups: Vec<(u64, Vec<NestedFrame<'_>>)> = Vec::new();
         for frame in frames {
             match peel_epoch_header(frame.body()) {

@@ -346,8 +346,6 @@ impl RumorSet {
                 else {
                     return 0;
                 };
-                // The receiver's own form first: a view parsed verified
-                // computes its identity by walking the payloads.
                 let added = if matches!(own, Payloads::Identity) && view.identity() {
                     // The gossip hot path: membership OR, no payload work.
                     present.or_le_words(words)

@@ -302,8 +302,9 @@ impl GossipEngine for Tears {
 
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize {
         // Batched form of `deliver`: one borrowed-view parse per frame —
-        // the verified parse, which skips the payload walk, when the
-        // runtime already validated the body — then per frame the same
+        // the verified parse, which skips the payload walk and takes the
+        // identity flag the runtime's validation found, when the runtime
+        // already validated the body — then per frame the same
         // skip-or-test-then-union, keyed on the frame's sender and the
         // decoded set's size. A frame that fails to decode is counted and
         // leaves the marks alone. The rumor sections fold in with at most
@@ -311,10 +312,9 @@ impl GossipEngine for Tears {
         // `Arc` copy, every later `make_mut` sees a unique handle.
         let mut errors = 0usize;
         for frame in frames {
-            let view = if frame.verified() {
-                decode_tears_verified(frame.body())
-            } else {
-                TearsMessage::decode_view(frame.body())
+            let view = match frame.verified() {
+                Some(identity) => decode_tears_verified(frame.body(), identity),
+                None => TearsMessage::decode_view(frame.body()),
             };
             match view {
                 Ok(view) => {

@@ -27,10 +27,11 @@
 //!
 //! A broadcast over channels hands every destination the same encoded body
 //! allocation. Each reactor validates such a body once, the first time it
-//! delivers it, and keeps the verdict while any frame still carries the
-//! body; every frame of a body that passed reaches its engine flagged
-//! verified, and a body that failed is validated, and counted, per frame as
-//! before. No bytes reach an engine unvalidated.
+//! delivers it, and keeps what that validation found while any frame still
+//! carries the body; every frame of a body that passed reaches its engine
+//! flagged verified, with the payload-identity flag the validation found,
+//! and a body that failed is validated, and counted, per frame as before.
+//! No bytes reach an engine unvalidated.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -169,12 +170,12 @@ pub(crate) struct Pending<T> {
 }
 
 /// A pending frame popped for delivery, with the reactor's verdict on its
-/// body (see [`VerifiedBodies`]). The flag rides here rather than on
+/// body (see [`VerifiedBodies`]). The verdict rides here rather than on
 /// [`Pending`] so that the heap, which holds every in-flight frame, does not
 /// grow by it.
 pub(crate) struct Due<T> {
     frame: Pending<T>,
-    verified: bool,
+    verified: Option<bool>,
 }
 
 impl<T> EncodedFrame for Due<T> {
@@ -187,7 +188,7 @@ impl<T> EncodedFrame for Due<T> {
         frame.body.as_slice().get(frame.msg_at..).unwrap_or(&[])
     }
 
-    fn verified(&self) -> bool {
+    fn verified(&self) -> Option<bool> {
         self.verified
     }
 }
@@ -197,29 +198,38 @@ impl<T> EncodedFrame for Due<T> {
 /// A broadcast body reaches every destination in one `Arc<[u8]>`, so a
 /// reactor hosting several of them would otherwise run the same
 /// [`WireDecodeView::decode_view`] walk once per receiver. The record maps a
-/// shared body's allocation address to the verdict of that walk, run on the
-/// first delivery of the body, and every later frame carrying it is handed
-/// to the engine flagged [`EncodedFrame::verified`]. Each entry holds a
+/// shared body's allocation address to what that walk, run on the first
+/// delivery of the body, found: `None` if the body failed, else
+/// `Some(identity)` with the view's [`WireDecodeView::view_identity`]. Every
+/// frame carrying the body is handed to the engine with that value as its
+/// [`EncodedFrame::verified`], so a verified body's payloads are walked once
+/// per reactor, by the validation, and never again. Each entry holds a
 /// [`Weak`] to its body: that pins the allocation, so no other body can
 /// occupy a recorded address while the entry exists. Owned bodies (socket
 /// frames) and bodies that carry a stamp inline are never recorded. The
 /// record is reactor-local: nothing here is shared between threads.
 #[derive(Default)]
 pub(crate) struct VerifiedBodies {
-    entries: HashMap<usize, (Weak<[u8]>, bool)>,
+    entries: HashMap<usize, (Weak<[u8]>, Option<bool>)>,
 }
 
 impl VerifiedBodies {
-    /// Whether `frame`'s body is a shared body that passed
-    /// `M::decode_view`, validating it on its first sight.
-    fn check<M: WireDecodeView, T>(&mut self, frame: &Pending<T>) -> bool {
+    /// `Some(identity)` if `frame`'s body is a shared body that passed
+    /// `M::decode_view`, with the view's `M::view_identity`; `None`
+    /// otherwise. Validates the body on its first sight.
+    fn check<M: WireDecodeView, T>(&mut self, frame: &Pending<T>) -> Option<bool> {
         let (FrameBody::Shared(body), 0) = (&frame.body, frame.msg_at) else {
-            return false;
+            return None;
         };
         let address = Arc::as_ptr(body).cast::<u8>().addr();
         self.entries
             .entry(address)
-            .or_insert_with(|| (Arc::downgrade(body), M::decode_view(body).is_ok()))
+            .or_insert_with(|| {
+                let verdict = M::decode_view(body)
+                    .ok()
+                    .map(|view| M::view_identity(&view));
+                (Arc::downgrade(body), verdict)
+            })
             .1
     }
 
@@ -353,9 +363,10 @@ where
     /// so this touches only due frames) and folds the batch into the engine
     /// in one call, batched unions inside the engine. Each frame whose body
     /// is shared is looked up in the reactor's `verified` record, which
-    /// validates the body on its first sight; a frame whose body passed is
-    /// flagged [`EncodedFrame::verified`], so its engine may skip the
-    /// validating walk. Every other body is validated by the engine. A body
+    /// validates the body on its first sight; a frame whose body passed
+    /// carries what that validation found as its [`EncodedFrame::verified`],
+    /// so its engine may skip the validating walk. Every other body is
+    /// validated by the engine. A body
     /// that fails to decode is counted and delivers nothing. Returns whether
     /// anything was delivered.
     pub(crate) fn deliver_due(
@@ -491,7 +502,9 @@ pub(crate) fn free_frame_body(frame: RawFrame) -> FrameBody {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agossip_core::{Rumor, TrivialMessage};
+    use agossip_core::{
+        EpochMsg, GossipCtx, Rumor, RumorSet, Tears, TearsFlag, TearsMessage, TrivialMessage,
+    };
 
     fn body(origin: usize) -> Arc<[u8]> {
         let msg = TrivialMessage {
@@ -521,7 +534,25 @@ mod tests {
     }
 
     fn check(record: &mut VerifiedBodies, frame: &Pending<u64>) -> bool {
-        record.check::<TrivialMessage, u64>(frame)
+        record.check::<TrivialMessage, u64>(frame).is_some()
+    }
+
+    /// What `record` holds for `bytes` as a shared body of message type `M`.
+    fn verdict<M: WireDecodeView>(record: &mut VerifiedBodies, bytes: &[u8]) -> Option<bool> {
+        record.check::<M, u64>(&frame(FrameBody::Shared(Arc::from(bytes)), 0))
+    }
+
+    /// A dense `tears` frame over origins `0..300`, each carrying
+    /// `payload(origin)`.
+    fn tears_body(payload: impl Fn(usize) -> u64) -> Vec<u8> {
+        let rumors: RumorSet = (0..300)
+            .map(|o| Rumor::new(ProcessId(o), payload(o)))
+            .collect();
+        TearsMessage {
+            rumors: Arc::new(rumors),
+            flag: TearsFlag::Down,
+        }
+        .encode()
     }
 
     #[test]
@@ -583,5 +614,44 @@ mod tests {
             &frame(FrameBody::Shared(Arc::from(stamped)), 1)
         ));
         assert!(record.entries.is_empty());
+    }
+
+    #[test]
+    fn record_keeps_the_identity_its_validation_found() {
+        let mut record = VerifiedBodies::default();
+        let identity = tears_body(|o| o as u64);
+        assert_eq!(verdict::<TearsMessage>(&mut record, &identity), Some(true));
+        let random = tears_body(|o| (o as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 << 63);
+        assert_eq!(verdict::<TearsMessage>(&mut record, &random), Some(false));
+        for (inner, expected) in [(&identity, true), (&random, false)] {
+            let envelope = EpochMsg {
+                epoch: 9,
+                inner: TearsMessage::decode(inner).unwrap(),
+            }
+            .encode();
+            assert_eq!(
+                verdict::<EpochMsg<TearsMessage>>(&mut record, &envelope),
+                Some(expected),
+                "an envelope reports its inner message's flag"
+            );
+        }
+    }
+
+    #[test]
+    fn record_never_verifies_a_corrupt_body_and_each_frame_counts_its_error() {
+        let mut record = VerifiedBodies::default();
+        let bad: Arc<[u8]> = Arc::from(corrupt(&tears_body(|o| o as u64)));
+        let due: Vec<Due<u64>> = (0..3)
+            .map(|_| {
+                let frame = frame(FrameBody::Shared(Arc::clone(&bad)), 0);
+                let verified = record.check::<TearsMessage, u64>(&frame);
+                Due { frame, verified }
+            })
+            .collect();
+        assert_eq!(record.entries.len(), 1);
+        assert!(due.iter().all(|d| d.verified.is_none()));
+        let mut engine = Tears::new(GossipCtx::new(ProcessId(0), 300, 0, 1));
+        assert_eq!(engine.deliver_encoded(&due), due.len());
+        assert_eq!(engine.rumors().len(), 1, "nothing was delivered");
     }
 }

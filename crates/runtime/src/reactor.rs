@@ -26,7 +26,9 @@
 //!
 //! A reactor validates each shared broadcast body once, however many of
 //! its processes receive it, and hands every frame carrying it to its engine
-//! flagged verified (see `event_loop`'s `VerifiedBodies`). That record is
+//! with what that validation found — the body is valid, and whether its
+//! payloads are the identity (see `event_loop`'s `VerifiedBodies`). That
+//! record is
 //! the reactor's own; entries whose body no frame carries any more are
 //! evicted once per lockstep tick and once per free-running sweep.
 //!
