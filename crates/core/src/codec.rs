@@ -64,6 +64,10 @@
 //! bytes consumed, error — on every two-byte prefix, every length and
 //! boundary, every truncation, and arbitrary bytes.
 //!
+//! Varints that need not be decoded at all — the payloads of origins a
+//! receiver already holds — are skipped by `skip_varints`, which only counts
+//! terminators: `popcount(!word & 0x8080…80)` per eight bytes.
+//!
 //! ## Robustness
 //!
 //! [`WireCodec::decode`] never panics: truncated, bit-flipped or otherwise
@@ -242,6 +246,46 @@ fn read_varint_bytewise(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
         shift += 7;
     }
     Err(CodecError::Truncated)
+}
+
+/// Skips `count` varints at the front of `bytes` and returns what follows.
+///
+/// A byte with its continuation flag clear ends a varint, so eight bytes
+/// hold `popcount(!word & 0x8080…80)` terminators: whole words are skipped
+/// by that count, and in the word holding the `count`-th terminator the
+/// set bits before it are cleared to find it. Fewer than eight bytes left
+/// are counted one at a time. Only terminators are looked at, so this skips
+/// exactly what [`read_varint`] would read only on well-formed varints —
+/// bytes a validating decode has already accepted. On any other bytes it
+/// still returns a suffix of `bytes` (empty once fewer than `count`
+/// terminators remain) and never panics.
+#[inline]
+pub(crate) fn skip_varints(mut bytes: &[u8], mut count: u64) -> &[u8] {
+    if count == 0 {
+        return bytes;
+    }
+    while let Some(head) = bytes.first_chunk::<8>() {
+        let mut stops = !u64::from_le_bytes(*head) & CONTINUATION_BITS;
+        let found = u64::from(stops.count_ones());
+        if found >= count {
+            for _ in 1..count {
+                stops &= stops - 1;
+            }
+            let len = usize::try_from(stops.trailing_zeros() / 8 + 1).unwrap_or(8);
+            return bytes.get(len..).unwrap_or(&[]);
+        }
+        count -= found;
+        bytes = bytes.get(8..).unwrap_or(&[]);
+    }
+    for (i, &byte) in bytes.iter().enumerate() {
+        if byte & 0x80 == 0 {
+            count -= 1;
+            if count == 0 {
+                return bytes.get(i + 1..).unwrap_or(&[]);
+            }
+        }
+    }
+    &[]
 }
 
 /// The number of bytes [`write_varint`] emits for `value`.
@@ -985,6 +1029,69 @@ mod tests {
                 EarsMessage::decode(&frame),
                 Err(CodecError::IdOutOfRange(_))
             ));
+        }
+    }
+
+    /// A varint exactly `len` bytes long (1 ≤ len ≤ 10).
+    fn varint_of_len(len: u32) -> u64 {
+        1u64 << (7 * (len - 1))
+    }
+
+    #[test]
+    fn skip_varints_lands_where_reading_does() {
+        // Every varint length, each stream shifted by 0..8 one-byte varints
+        // so its varints straddle the 8-byte word boundaries differently.
+        for len in 1..=10u32 {
+            for shift in 0..8u32 {
+                let mut values = vec![0u64; shift as usize];
+                values.extend((0..12).map(|i| varint_of_len((len + 3 * i - 1) % 10 + 1)));
+                let mut bytes = Vec::new();
+                for &value in &values {
+                    write_varint(&mut bytes, value);
+                }
+                let mut read = bytes.as_slice();
+                for (k, &value) in values.iter().enumerate() {
+                    let skipped = skip_varints(&bytes, k as u64);
+                    assert_eq!(skipped.len(), read.len(), "len {len}, shift {shift}, k {k}");
+                    let (got, used) = read_varint(skipped).unwrap();
+                    assert_eq!((got, used), (value, varint_len(value)));
+                    read = &read[used..];
+                }
+                assert!(read.is_empty());
+                assert!(skip_varints(&bytes, values.len() as u64).is_empty());
+                // Past the last terminator there is nothing left to return.
+                assert!(skip_varints(&bytes, values.len() as u64 + 1).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn skip_varints_stays_in_bounds_on_malformed_bytes() {
+        for len in 0..24 {
+            let endless = vec![0x80u8; len];
+            for count in 0..4 {
+                let rest = skip_varints(&endless, count);
+                assert_eq!(rest.len(), if count == 0 { len } else { 0 });
+            }
+        }
+        let mut bytes = Vec::new();
+        for len in 1..=10 {
+            write_varint(&mut bytes, varint_of_len(len));
+        }
+        // Every truncation: the complete varints before the cut skip as
+        // read; asking for more returns an empty suffix.
+        for cut in 0..=bytes.len() {
+            let truncated = &bytes[..cut];
+            let mut read = truncated;
+            let mut complete = 0u64;
+            while let Ok((_, used)) = read_varint(read) {
+                read = &read[used..];
+                complete += 1;
+            }
+            assert_eq!(skip_varints(truncated, complete).len(), read.len());
+            for extra in 1..3 {
+                assert!(skip_varints(truncated, complete + extra).is_empty());
+            }
         }
     }
 }

@@ -34,6 +34,15 @@
 //! `verified_parse_differential` proptest below); on any other bytes, or
 //! with a wrong flag, the verified parse still never panics.
 //!
+//! A dense section with explicit payloads is unioned without decoding the
+//! payloads of origins the receiver already holds: `union_view` decodes the
+//! varint of each fresh origin only, and skips the run of held ones before
+//! it with `codec::skip_varints`, which counts varint terminators eight
+//! bytes at a time instead of decoding. Counting is exact because every
+//! view that reaches `union_view` passed `decode_view`, or is flagged by a
+//! record entry that did, so its varints are well formed; on any other
+//! bytes the skip still stays in bounds and never panics.
+//!
 //! Decoding never panics; this module is under the same `never-panic-decode`
 //! lint policy as `codec.rs`.
 

@@ -325,7 +325,11 @@ impl RumorSet {
     /// calling [`RumorSet::union`] would — without materializing the
     /// sender's set. A dense view's word region is OR-ed straight into the
     /// presence bitmap; with identity payloads on both sides no payload
-    /// work happens at all. Returns the number of new origins.
+    /// work happens at all, and otherwise only the payloads of origins new
+    /// to `self` are decoded — the rest are skipped a word of varints at a
+    /// time, which is sound because every view reaching here passed
+    /// `decode_view` (or rides a verdict of one that did), so its varints
+    /// are well formed. Returns the number of new origins.
     pub fn union_view(&mut self, view: &crate::codec_view::RumorSetView<'_>) -> usize {
         use crate::codec_view::RumorViewRepr;
         match view.repr() {
@@ -350,31 +354,37 @@ impl RumorSet {
                     // The gossip hot path: membership OR, no payload work.
                     present.or_le_words(words)
                 } else {
+                    // Payload varints follow the set bits in order. Only a
+                    // fresh origin's is decoded: the `held` payloads of
+                    // origins `self` already has are skipped in one run
+                    // before the next fresh one.
                     let mut added = 0usize;
                     let mut cursor: &[u8] = payloads;
+                    let mut held = 0u64;
                     for (w, chunk) in words.chunks_exact(8).enumerate() {
                         let Some(arr) = chunk.first_chunk::<8>() else {
                             break;
                         };
                         let word = u64::from_le_bytes(*arr);
-                        if word == 0 {
-                            continue;
-                        }
-                        let fresh = present.or_word(w, word);
+                        let mut fresh = present.or_word(w, word);
+                        let mut stale = word & !fresh;
                         added += fresh.count_ones() as usize;
-                        let mut bits = word;
-                        while bits != 0 {
-                            let low = bits & bits.wrapping_neg();
+                        while fresh != 0 {
+                            let low = fresh & fresh.wrapping_neg();
                             let index = w * 64 + low.trailing_zeros() as usize;
-                            bits ^= low;
+                            fresh ^= low;
+                            let before = stale & (low - 1);
+                            stale ^= before;
+                            held += u64::from(before.count_ones());
+                            cursor = crate::codec::skip_varints(cursor, held);
+                            held = 0;
                             let Ok((payload, used)) = crate::codec::read_varint(cursor) else {
                                 break;
                             };
                             cursor = cursor.get(used..).unwrap_or(&[]);
-                            if fresh & low != 0 {
-                                own.set(index, payload, present.words().len() * 64);
-                            }
+                            own.set(index, payload, present.words().len() * 64);
                         }
+                        held += u64::from(stale.count_ones());
                     }
                     added
                 };
@@ -781,5 +791,82 @@ mod tests {
         let dbg = format!("{set:?}");
         assert!(dbg.contains("ProcessId(0)"), "{dbg}");
         assert!(dbg.find("ProcessId(0)") < dbg.find("ProcessId(2)"), "{dbg}");
+    }
+
+    /// The `tears` frame of `set`, which must encode dense.
+    fn dense_frame(set: &RumorSet) -> Vec<u8> {
+        use crate::codec::WireCodec;
+        let bytes = crate::TearsMessage {
+            rumors: std::sync::Arc::new(set.clone()),
+            flag: crate::TearsFlag::Down,
+        }
+        .encode();
+        let view = <crate::TearsMessage as crate::WireDecodeView>::decode_view(&bytes).unwrap();
+        assert!(matches!(
+            view.rumors.repr(),
+            crate::codec_view::RumorViewRepr::Dense { .. }
+        ));
+        bytes
+    }
+
+    /// Unions the frame into `receiver` through the view, once validated and
+    /// once through the verified parse with `identity`, and checks both
+    /// against unioning the decoded set, payloads included.
+    fn assert_union_view_matches(receiver: &RumorSet, frame: &[u8], identity: bool) {
+        use crate::WireDecodeView;
+        let checked = crate::TearsMessage::decode_view(frame).unwrap();
+        let verified = crate::codec_view::decode_tears_verified(frame, identity).unwrap();
+        let mut expected = receiver.clone();
+        let added = expected.union(&checked.rumors.to_set());
+        for view in [&checked.rumors, &verified.rumors] {
+            let mut got = receiver.clone();
+            assert_eq!(got.union_view(view), added);
+            assert_eq!(got, expected);
+        }
+    }
+
+    /// Origins `0..150` (two full words and a partial third) with payloads
+    /// of every varint length.
+    fn explicit_sender() -> RumorSet {
+        (0..150).map(|o| r(o, 1u64 << (7 * (o % 10)))).collect()
+    }
+
+    /// Holds `origins` with payloads no sender uses.
+    fn explicit_receiver(origins: impl Iterator<Item = usize>) -> RumorSet {
+        origins.map(|o| r(o, 1_000_000 + o as u64)).collect()
+    }
+
+    #[test]
+    fn union_view_skips_held_payloads_and_reads_fresh_ones() {
+        let frame = dense_frame(&explicit_sender());
+        // Fresh bits at positions 0 and 63 of the first word, and in the
+        // last, partial word.
+        for fresh in [&[0, 63][..], &[149], &[128, 140, 149], &[0, 64, 127, 128]] {
+            let receiver = explicit_receiver((0..150).filter(|o| !fresh.contains(o)));
+            assert_union_view_matches(&receiver, &frame, false);
+        }
+        // A receiver that holds every origin but one, for each one.
+        for missing in 0..150 {
+            let receiver = explicit_receiver((0..150).filter(|&o| o != missing));
+            assert_union_view_matches(&receiver, &frame, false);
+        }
+        // Runs of held origins between fresh ones, and nothing held.
+        for stride in [2, 3, 7, 65] {
+            let receiver = explicit_receiver((0..150).filter(|o| o % stride != 0));
+            assert_union_view_matches(&receiver, &frame, false);
+        }
+        assert_union_view_matches(&RumorSet::new(), &frame, false);
+    }
+
+    #[test]
+    fn identity_frame_flagged_explicit_unions_into_an_explicit_receiver() {
+        let frame = dense_frame(&(0..150).map(|o| r(o, o as u64)).collect());
+        for receiver in [
+            explicit_receiver((0..150).filter(|o| o % 3 != 0)),
+            explicit_receiver((1..150).step_by(64)),
+            explicit_receiver(0..149),
+        ] {
+            assert_union_view_matches(&receiver, &frame, false);
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! A [`Clock`] reports *elapsed time since its own epoch* as a [`Duration`]
 //! rather than an [`std::time::Instant`]: durations are plain arithmetic
 //! values, which is what makes a fake implementation trivial and the
-//! pending-delivery heaps representation-independent.
+//! slots' delivery inboxes representation-independent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

@@ -2,8 +2,8 @@
 //! send.
 //!
 //! A [`Slot`] is everything one process owns — engine, endpoint, seeded RNG
-//! stream, the heap of frames waiting out their delivery deadline — and the
-//! three things every process does whatever its pacing:
+//! stream, the [`Inbox`] of frames waiting out their delivery deadline — and
+//! the three things every process does whatever its pacing:
 //!
 //! * [`Slot::poll`] — push queued outbound bytes, drain the endpoint, book
 //!   every frame taken off the transport as consumed;
@@ -15,9 +15,9 @@
 //!
 //! *When* those happen is the pacing discipline (see
 //! [`crate::driver::Pacing`]) and lives in [`crate::reactor`], which runs
-//! any number of slots on one thread. The pending heap is generic over its
-//! deadline because the two pacings tell time differently — lockstep in
-//! ticks, free-running by the run's clock — see [`Pending`].
+//! any number of slots on one thread. The inbox is generic over its deadline
+//! because the two pacings tell time differently — lockstep in ticks,
+//! free-running by the run's clock — see [`Pending`].
 //!
 //! Everything here speaks bytes: outgoing messages go through
 //! [`agossip_core::codec`] ([`WireCodec::encode_into`]) and incoming frames
@@ -26,14 +26,11 @@
 //! codec's typed errors guarantee it can never panic the loop.
 //!
 //! A broadcast over channels hands every destination the same encoded body
-//! allocation. Each reactor validates such a body once, the first time it
-//! delivers it, and keeps what that validation found while any frame still
-//! carries the body; every frame of a body that passed reaches its engine
-//! flagged verified, with the payload-identity flag the validation found,
-//! and a body that failed is validated, and counted, per frame as before.
-//! No bytes reach an engine unvalidated.
+//! allocation, which each reactor validates once ([`VerifiedBodies`]); a
+//! body that failed is validated, and counted, per frame. No bytes reach an
+//! engine unvalidated.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -144,48 +141,37 @@ pub(crate) struct NodeOutcome {
     pub steps: u64,
 }
 
-/// A still-encoded message waiting out its delivery deadline, min-heap
-/// ordered on `(at, from, seq)`. The body stays encoded (and, for broadcast
-/// fast-path frames, shared) until delivery, when the whole due batch is
-/// folded into the engine through [`GossipEngine::deliver_encoded`] (see
-/// [`Due`]).
+/// A still-encoded message waiting out its delivery deadline; the body stays
+/// encoded (and, for broadcast fast-path frames, shared) until delivery.
 ///
 /// Under lockstep `at` is the delivery tick and `seq` the sender's own
 /// sequence number, both read off the frame's stamp: `(from, seq)` is
-/// unique, so the order is strict, total and a pure function of the seed —
-/// which is what makes lockstep delivery deterministic. Free-running, `at`
-/// is elapsed time per the run's [`Clock`] (not an `Instant`, so a fake
-/// clock can drive it in tests) and `seq` counts arrivals, which keeps each
-/// sender's frames first-in-first-out among equal deadlines.
+/// unique. Free-running, `at` is elapsed time per the run's [`Clock`] (not an
+/// `Instant`, so a fake clock can drive it in tests) and `seq` counts the
+/// reactor's arrivals: unique, and first-in-first-out among equal deadlines.
+/// Either way `(at, from, seq)` is unique: the order [`Inbox`] delivers in.
 pub(crate) struct Pending<T> {
     pub(crate) at: T,
     pub(crate) from: ProcessId,
     pub(crate) seq: u64,
     /// The frame body, still encoded.
     pub(crate) body: FrameBody,
-    /// Offset of the message bytes within `body` (lockstep stream-framed
-    /// payloads carry the tick/seq stamp inline; fast-path frames carry it
-    /// in the frame head; free-running frames carry none).
-    pub(crate) msg_at: usize,
+    /// Offset of the message bytes within `body`: the length of the inline
+    /// tick/seq stamp of a lockstep stream-framed payload, else 0. A `u32`,
+    /// so that `verified` fits beside it and the inbox does not grow.
+    pub(crate) msg_at: u32,
+    /// The reactor's verdict on the body ([`VerifiedBodies`]), set when due.
+    pub(crate) verified: Option<bool>,
 }
 
-/// A pending frame popped for delivery, with the reactor's verdict on its
-/// body (see [`VerifiedBodies`]). The verdict rides here rather than on
-/// [`Pending`] so that the heap, which holds every in-flight frame, does not
-/// grow by it.
-pub(crate) struct Due<T> {
-    frame: Pending<T>,
-    verified: Option<bool>,
-}
-
-impl<T> EncodedFrame for Due<T> {
+impl<T> EncodedFrame for Pending<T> {
     fn sender(&self) -> ProcessId {
-        self.frame.from
+        self.from
     }
 
     fn body(&self) -> &[u8] {
-        let frame = &self.frame;
-        frame.body.as_slice().get(frame.msg_at..).unwrap_or(&[])
+        let at = self.msg_at as usize;
+        self.body.as_slice().get(at..).unwrap_or(&[])
     }
 
     fn verified(&self) -> Option<bool> {
@@ -193,21 +179,62 @@ impl<T> EncodedFrame for Due<T> {
     }
 }
 
+/// One slot's frames waiting out their deadlines, unsorted, with the
+/// earliest deadline cached: a tick with nothing due costs one comparison,
+/// one with something due one in-order pass. The due frames are then sorted
+/// by `(at, from, seq)`; `sort_unstable` is exact because that key is unique
+/// (see [`Pending`]), so every batch, and a lockstep execution, is a pure
+/// function of the seed.
+pub(crate) struct Inbox<T> {
+    frames: Vec<Pending<T>>,
+    earliest: Option<T>,
+}
+
+impl<T: Ord + Copy> Inbox<T> {
+    pub(crate) fn push(&mut self, frame: Pending<T>) {
+        if self.earliest.is_none_or(|at| frame.at < at) {
+            self.earliest = Some(frame.at);
+        }
+        self.frames.push(frame);
+    }
+
+    /// Replaces `due` with every frame due by `now`, in `(at, from, seq)`
+    /// order.
+    pub(crate) fn take_due(&mut self, now: T, due: &mut Vec<Pending<T>>) {
+        due.clear();
+        if self.earliest.is_none_or(|at| at > now) {
+            return;
+        }
+        let mut earliest = None;
+        due.extend(self.frames.extract_if(.., |frame| {
+            let stays = frame.at > now;
+            if stays && earliest.is_none_or(|at| frame.at < at) {
+                earliest = Some(frame.at);
+            }
+            !stays
+        }));
+        self.earliest = earliest;
+        due.sort_unstable_by_key(|frame| (frame.at, frame.from, frame.seq));
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.frames.clear();
+        self.earliest = None;
+    }
+}
+
 /// One reactor's record of the shared broadcast bodies it has validated.
 ///
-/// A broadcast body reaches every destination in one `Arc<[u8]>`, so a
-/// reactor hosting several of them would otherwise run the same
-/// [`WireDecodeView::decode_view`] walk once per receiver. The record maps a
-/// shared body's allocation address to what that walk, run on the first
-/// delivery of the body, found: `None` if the body failed, else
-/// `Some(identity)` with the view's [`WireDecodeView::view_identity`]. Every
-/// frame carrying the body is handed to the engine with that value as its
-/// [`EncodedFrame::verified`], so a verified body's payloads are walked once
-/// per reactor, by the validation, and never again. Each entry holds a
-/// [`Weak`] to its body: that pins the allocation, so no other body can
-/// occupy a recorded address while the entry exists. Owned bodies (socket
-/// frames) and bodies that carry a stamp inline are never recorded. The
-/// record is reactor-local: nothing here is shared between threads.
+/// A broadcast body reaches every destination in one `Arc<[u8]>`. The record
+/// maps its allocation address to what [`WireDecodeView::decode_view`], run
+/// on the first delivery of the body, found: `None` if the body failed, else
+/// `Some` of the view's [`WireDecodeView::view_identity`]. Every frame
+/// carrying the body reaches the engine with that value as its
+/// [`EncodedFrame::verified`], so a verified body is walked once per
+/// reactor. Each entry holds a [`Weak`] to its body: that pins the
+/// allocation, so no other body can occupy a recorded address while the
+/// entry exists. Owned bodies (socket frames) and bodies that carry a stamp
+/// inline are never recorded. The record is reactor-local.
 #[derive(Default)]
 pub(crate) struct VerifiedBodies {
     entries: HashMap<usize, (Weak<[u8]>, Option<bool>)>,
@@ -241,27 +268,6 @@ impl VerifiedBodies {
     }
 }
 
-impl<T: Ord> PartialEq for Pending<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl<T: Ord> Eq for Pending<T> {}
-
-impl<T: Ord> PartialOrd for Pending<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T: Ord> Ord for Pending<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (&other.at, other.from, other.seq).cmp(&(&self.at, self.from, self.seq))
-    }
-}
-
 /// One process handed to a reactor: its engine, its endpoint, and its crash
 /// point.
 pub(crate) struct ReactorProc<G, E> {
@@ -281,7 +287,7 @@ pub(crate) struct Slot<G: GossipEngine, E, T> {
     crash_after: Option<u64>,
     /// The process's own seeded stream (injected delays and pauses).
     pub rng: StdRng,
-    pub pending: BinaryHeap<Pending<T>>,
+    pub pending: Inbox<T>,
     body: Vec<u8>,
     shared_body: Arc<[u8]>,
     last_encoded: Option<G::Msg>,
@@ -301,7 +307,7 @@ where
     G: GossipEngine,
     G::Msg: WireCodec + WireDecodeView + PartialEq,
     E: Endpoint,
-    T: Ord,
+    T: Ord + Copy,
 {
     /// `stream_seed` is the run's master seed salted per pacing; the slot's
     /// stream is derived from it and the process id alone, never from the
@@ -313,7 +319,10 @@ where
             endpoint: proc.endpoint,
             crash_after: proc.crash_after,
             rng: StdRng::seed_from_u64(derive_seed(stream_seed, RngStream::Process(proc.pid))),
-            pending: BinaryHeap::new(),
+            pending: Inbox {
+                frames: Vec::new(),
+                earliest: None,
+            },
             body: Vec::new(),
             shared_body: Arc::new([]),
             last_encoded: None,
@@ -332,7 +341,7 @@ where
     /// Whether the process holds no pending frames and its engine will not
     /// send unprompted.
     pub(crate) fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.engine.is_quiescent()
+        self.pending.frames.is_empty() && self.engine.is_quiescent()
     }
 
     /// Pushes outbound bytes a full kernel buffer left queued at the last
@@ -359,33 +368,25 @@ where
         polled
     }
 
-    /// Pops every pending frame due by `now` (the heap top is the earliest,
-    /// so this touches only due frames) and folds the batch into the engine
-    /// in one call, batched unions inside the engine. Each frame whose body
-    /// is shared is looked up in the reactor's `verified` record, which
-    /// validates the body on its first sight; a frame whose body passed
-    /// carries what that validation found as its [`EncodedFrame::verified`],
-    /// so its engine may skip the validating walk. Every other body is
-    /// validated by the engine. A body
-    /// that fails to decode is counted and delivers nothing. Returns whether
+    /// Takes every frame due by `now` off the inbox and folds the batch into
+    /// the engine in one call. Each frame first gets its body's verdict from
+    /// the reactor's `verified` record, which validates a shared body on its
+    /// first sight; the engine validates every body without one. A body that
+    /// fails to decode is counted and delivers nothing. Returns whether
     /// anything was delivered.
     pub(crate) fn deliver_due(
         &mut self,
         shared: &SharedRun,
         verified: &mut VerifiedBodies,
-        due: &mut Vec<Due<T>>,
+        due: &mut Vec<Pending<T>>,
         now: T,
     ) -> bool {
-        due.clear();
-        while self.pending.peek().is_some_and(|p| p.at <= now) {
-            let Some(frame) = self.pending.pop() else {
-                break;
-            };
-            let verified = verified.check::<G::Msg, T>(&frame);
-            due.push(Due { frame, verified });
-        }
+        self.pending.take_due(now, due);
         if due.is_empty() {
             return false;
+        }
+        for frame in due.iter_mut() {
+            frame.verified = verified.check::<G::Msg, T>(frame);
         }
         let errors = self.engine.deliver_encoded(due) as u64;
         let delivered = due.len() as u64 - errors;
@@ -463,19 +464,19 @@ where
 }
 
 /// Splits a received lockstep frame into `(deliver_tick, seq, offset of the
-/// message within the frame body)`. Only the stamp varints are parsed here;
-/// the message bytes stay untouched until the frame's tick comes up, where
-/// they are validated ([`Slot::deliver_due`]) — an undecodable body is
-/// counted as a decode error there, with the same totals as when polling
-/// validated eagerly.
-pub(crate) fn parse_lockstep_frame(frame: &RawFrame) -> Result<(u64, u64, usize), CodecError> {
+/// message within the frame body)`; the offset, two varints, is at most 20.
+/// Only the stamp varints are parsed here; the message bytes are validated
+/// when the frame's tick comes up ([`Slot::deliver_due`]), where an
+/// undecodable body counts as a decode error.
+pub(crate) fn parse_lockstep_frame(frame: &RawFrame) -> Result<(u64, u64, u32), CodecError> {
     let head = frame.head();
     let body = frame.body();
     if head.is_empty() {
         // Stream-framed payload: the tick/seq stamp is inline in the body.
         let (deliver_tick, a) = read_varint(body)?;
         let (seq, b) = read_varint(body.get(a..).ok_or(CodecError::Truncated)?)?;
-        Ok((deliver_tick, seq, a + b))
+        let msg_at = u32::try_from(a + b).map_err(|_| CodecError::Truncated)?;
+        Ok((deliver_tick, seq, msg_at))
     } else {
         // Shared-body fast path: the head carries exactly the two varints.
         let (deliver_tick, a) = read_varint(head)?;
@@ -523,13 +524,14 @@ mod tests {
         bytes
     }
 
-    fn frame(body: FrameBody, msg_at: usize) -> Pending<u64> {
+    fn frame(body: FrameBody, msg_at: u32) -> Pending<u64> {
         Pending {
             at: 0,
             from: ProcessId(1),
             seq: 0,
             body,
             msg_at,
+            verified: None,
         }
     }
 
@@ -641,11 +643,11 @@ mod tests {
     fn record_never_verifies_a_corrupt_body_and_each_frame_counts_its_error() {
         let mut record = VerifiedBodies::default();
         let bad: Arc<[u8]> = Arc::from(corrupt(&tears_body(|o| o as u64)));
-        let due: Vec<Due<u64>> = (0..3)
+        let due: Vec<Pending<u64>> = (0..3)
             .map(|_| {
-                let frame = frame(FrameBody::Shared(Arc::clone(&bad)), 0);
-                let verified = record.check::<TearsMessage, u64>(&frame);
-                Due { frame, verified }
+                let mut frame = frame(FrameBody::Shared(Arc::clone(&bad)), 0);
+                frame.verified = record.check::<TearsMessage, u64>(&frame);
+                frame
             })
             .collect();
         assert_eq!(record.entries.len(), 1);
@@ -653,5 +655,103 @@ mod tests {
         let mut engine = Tears::new(GossipCtx::new(ProcessId(0), 300, 0, 1));
         assert_eq!(engine.deliver_encoded(&due), due.len());
         assert_eq!(engine.rumors().len(), 1, "nothing was delivered");
+    }
+
+    fn pending<T>(at: T, from: usize, seq: u64) -> Pending<T> {
+        Pending {
+            at,
+            from: ProcessId(from),
+            seq,
+            body: FrameBody::Owned(Vec::new()),
+            msg_at: 0,
+            verified: None,
+        }
+    }
+
+    fn inbox<T>() -> Inbox<T> {
+        Inbox {
+            frames: Vec::new(),
+            earliest: None,
+        }
+    }
+
+    /// Replays `ops` on an inbox and on a reference min-heap on
+    /// `(at, from, seq)`, and asserts that every `take_due` yields exactly the
+    /// frames the heap pops, in its order. An op `(kind, a, from)` with kind
+    /// `0..6` pushes a frame from `from` due at `now - 1 + a` (some arrive
+    /// already due; `a < 4` makes equal deadlines common), `6..9` advances
+    /// `now` by `a` and takes what is due, and `9` clears both. Lockstep
+    /// numbers each sender's frames, free-running every arrival.
+    fn assert_inbox_pops_like_a_heap<T: Ord + Copy + std::fmt::Debug>(
+        ops: &[(u8, u64, usize)],
+        at: fn(u64) -> T,
+        lockstep: bool,
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let (mut inbox, mut heap, mut due) = (inbox(), BinaryHeap::new(), Vec::new());
+        let (mut seqs, mut arrivals, mut now) = ([0u64; 6], 0u64, 0u64);
+        for &(kind, a, from) in ops {
+            match kind {
+                0..6 => {
+                    let seq = if lockstep {
+                        &mut seqs[from]
+                    } else {
+                        &mut arrivals
+                    };
+                    let key = (at(now.saturating_sub(1) + a), from, *seq);
+                    *seq += 1;
+                    inbox.push(pending(key.0, key.1, key.2));
+                    heap.push(Reverse(key));
+                }
+                6..9 => {
+                    now += a;
+                    inbox.take_due(at(now), &mut due);
+                    let taken: Vec<_> = due.iter().map(|p| (p.at, p.from.0, p.seq)).collect();
+                    let mut popped = Vec::new();
+                    while let Some(Reverse(key)) = heap.pop() {
+                        if key.0 > at(now) {
+                            heap.push(Reverse(key));
+                            break;
+                        }
+                        popped.push(key);
+                    }
+                    assert_eq!(taken, popped, "at {now}");
+                }
+                _ => {
+                    inbox.clear();
+                    heap.clear();
+                }
+            }
+            assert_eq!(inbox.frames.len(), heap.len());
+            assert_eq!(inbox.earliest, heap.peek().map(|Reverse(key)| key.0));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn inbox_batches_equal_heap_pops(
+            ops in proptest::collection::vec((0u8..10, 0u64..4, 0usize..6), 0..300)
+        ) {
+            assert_inbox_pops_like_a_heap(&ops, |tick| tick, true);
+            assert_inbox_pops_like_a_heap(&ops, Duration::from_micros, false);
+        }
+    }
+
+    #[test]
+    fn inbox_with_a_future_deadline_yields_nothing_and_keeps_its_frames() {
+        let mut inbox = inbox();
+        let mut due = vec![pending(0u64, 9, 9)];
+        inbox.push(pending(7, 1, 0));
+        inbox.push(pending(5, 2, 0));
+        inbox.take_due(4, &mut due);
+        assert!(due.is_empty(), "a stale batch is cleared, not kept");
+        assert_eq!(inbox.frames.len(), 2);
+        assert_eq!(inbox.earliest, Some(5));
+        inbox.take_due(6, &mut due);
+        assert_eq!(due.iter().map(|p| p.at).collect::<Vec<_>>(), [5]);
+        assert_eq!((inbox.frames.len(), inbox.earliest), (1, Some(7)));
     }
 }

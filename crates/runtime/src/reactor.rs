@@ -8,11 +8,11 @@
 //! buffer filled), drains whatever bytes have arrived
 //! (the socket endpoints reassemble frames incrementally through
 //! [`crate::transport::FrameBuf`]), routes each decoded envelope into the
-//! addressed process's in-memory inbox (a deadline-indexed pending heap),
-//! and steps the engines whose turn has come. With `reactors = r`, process
-//! `p` is pinned to reactor `p mod r` — a static assignment, so a process's
-//! endpoint never migrates across threads and no locking is needed around
-//! any per-process state. `r = n` is one OS thread per process
+//! addressed process's in-memory inbox (unsorted until its frames fall
+//! due), and steps the engines whose turn has come. With `reactors = r`,
+//! process `p` is pinned to reactor `p mod r` — a static assignment, so a
+//! process's endpoint never migrates across threads and no locking is
+//! needed around any per-process state. `r = n` is one OS thread per process
 //! ([`crate::driver::Threading::PerProcess`]); a handful of reactors carry
 //! thousands of processes, where a thread each would cap live runs near the
 //! machine's thread budget while the simulator already verifies n = 65 536.
@@ -24,13 +24,9 @@
 //! epoll wakeup storm would degrade to; the architectural payoff — thousands
 //! of processes on a handful of threads — is identical.
 //!
-//! A reactor validates each shared broadcast body once, however many of
-//! its processes receive it, and hands every frame carrying it to its engine
-//! with what that validation found — the body is valid, and whether its
-//! payloads are the identity (see `event_loop`'s `VerifiedBodies`). That
-//! record is
-//! the reactor's own; entries whose body no frame carries any more are
-//! evicted once per lockstep tick and once per free-running sweep.
+//! A reactor validates each shared broadcast body once, however many of its
+//! processes receive it (see `event_loop`'s `VerifiedBodies`); the record's
+//! dead entries are evicted once per lockstep tick and free-running sweep.
 //!
 //! There is one loop body per *pacing* discipline (see
 //! [`crate::driver::Pacing`]); what a slot does when its turn comes is the
@@ -88,7 +84,7 @@ use agossip_core::{GossipEngine, WireCodec, WireDecodeView};
 use agossip_sim::ProcessId;
 
 use crate::event_loop::{
-    free_frame_body, parse_lockstep_frame, Due, NodeOutcome, Pending, ReactorProc, SharedRun, Slot,
+    free_frame_body, parse_lockstep_frame, NodeOutcome, Pending, ReactorProc, SharedRun, Slot,
     VerifiedBodies,
 };
 use crate::transport::{Endpoint, RawFrame};
@@ -125,7 +121,7 @@ where
         .collect();
     let mut frames: Vec<RawFrame> = Vec::new();
     let mut verified = VerifiedBodies::default();
-    let mut due: Vec<Due<u64>> = Vec::new();
+    let mut due: Vec<Pending<u64>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
     let mut head: Vec<u8> = Vec::new();
     let mut tick = 0u64;
@@ -158,6 +154,7 @@ where
                             seq,
                             body: frame.into_body(),
                             msg_at,
+                            verified: None,
                         }),
                         Err(_) => {
                             shared.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -245,7 +242,7 @@ where
     let mut outcomes: Vec<(ProcessId, NodeOutcome)> = Vec::with_capacity(slots.len());
     let mut frames: Vec<RawFrame> = Vec::new();
     let mut verified = VerifiedBodies::default();
-    let mut due: Vec<Due<Duration>> = Vec::new();
+    let mut due: Vec<Pending<Duration>> = Vec::new();
     let mut out: Vec<(ProcessId, G::Msg)> = Vec::new();
     let mut head: Vec<u8> = Vec::new();
     let mut arrival_seq = 0u64;
@@ -261,9 +258,9 @@ where
                     shared.record_error(e);
                     break 'sweep false;
                 }
-                // Route arrivals into the deadline-indexed delay buffer,
-                // drawing each frame's injected delay (the role of `d`) from
-                // the slot's seeded stream.
+                // Route arrivals into the slot's inbox, drawing each frame's
+                // injected delay (the role of `d`) from the slot's seeded
+                // stream.
                 let now = shared.clock.now();
                 for frame in frames.drain(..) {
                     let delay = Duration::from_micros(slot.rng.gen_range(0..=max_delay_us));
@@ -273,6 +270,7 @@ where
                         seq: arrival_seq,
                         body: free_frame_body(frame),
                         msg_at: 0,
+                        verified: None,
                     });
                     arrival_seq += 1;
                 }
