@@ -16,8 +16,8 @@
 //! * `peak_in_flight` / `in_flight_entry_bytes` / `peak_queue_mib` — the
 //!   most messages in flight at any step boundary (what the adversary's
 //!   [`SystemView`] reports), the bytes one of them occupies in the network
-//!   (its [`Envelope`] plus the delivery deadline), and their product: the
-//!   network queue's share of the peak RSS.
+//!   (its payload, send time, and 32-bit sender and delay), and their
+//!   product: the network queue's share of the peak RSS.
 //!
 //! Sizes run in ascending order so each `VmHWM` reading is dominated by its
 //! own trial. Every trial is asserted checker-verified (majority gathering,
@@ -40,7 +40,7 @@ use agossip_analysis::experiments::scale::{
 use agossip_analysis::{ScenarioSpec, TrialProtocol};
 use agossip_core::{run_gossip, GossipSpec, Tears, TearsMessage};
 use agossip_sim::{
-    Adversary, Envelope, EnvelopeMeta, FairObliviousAdversary, StepPlan, SystemView, TimeStep,
+    Adversary, EnvelopeMeta, FairObliviousAdversary, StepPlan, SystemView, TimeStep,
 };
 
 /// Peak resident set size of this process so far, in MiB, from `VmHWM`
@@ -140,7 +140,7 @@ fn main() {
         );
         let steps = report.time_steps().expect("a verified trial is quiescent");
         let rss = peak_rss_mib().unwrap_or(-1.0);
-        let entry_bytes = size_of::<Envelope<TearsMessage>>() + size_of::<TimeStep>();
+        let entry_bytes = size_of::<TearsMessage>() + size_of::<TimeStep>() + 2 * size_of::<u32>();
         let peak = adversary.peak;
         println!(
             "{{\"label\": \"{label}\", \"n\": {n}, \"a\": {a:.0}, \"d\": {d}, \

@@ -95,9 +95,9 @@ pub struct ConsensusProcess<G: GossipEngine, F> {
     rounds_started: u32,
     rng: StdRng,
     steps: u64,
-    /// Reusable buffer for the per-step sends, so steady-state stepping does
-    /// not allocate.
-    send_buf: Vec<(ProcessId, ConsensusMessage<G::Msg>)>,
+    /// The current gossip instance's sends of one step, before they are
+    /// wrapped; reused, so steady-state stepping does not allocate.
+    inner_sends: Vec<(ProcessId, G::Msg)>,
 }
 
 impl<G, F> ConsensusProcess<G, F>
@@ -123,7 +123,7 @@ where
             rounds_started: 1,
             rng,
             steps: 0,
-            send_buf: Vec::new(),
+            inner_sends: Vec::new(),
         }
     }
 
@@ -324,12 +324,14 @@ where
         }
     }
 
+    /// One local step of the current instance; appends its sends, wrapped,
+    /// to `out` (append-only, see [`Outbox::append_with`]).
     fn take_local_step(&mut self, out: &mut Vec<(ProcessId, ConsensusMessage<G::Msg>)>) {
         self.steps += 1;
         self.try_complete_instance();
-        let mut inner_out = Vec::new();
-        self.engine.local_step(&mut inner_out);
-        for (to, inner) in inner_out {
+        self.engine.local_step(&mut self.inner_sends);
+        out.reserve(self.inner_sends.len());
+        for (to, inner) in self.inner_sends.drain(..) {
             out.push((
                 to,
                 ConsensusMessage {
@@ -365,13 +367,7 @@ where
         for env in inbox.drain(..) {
             self.handle_message(env.from, env.payload);
         }
-        self.send_buf.clear();
-        let mut sends = std::mem::take(&mut self.send_buf);
-        self.take_local_step(&mut sends);
-        for (to, msg) in sends.drain(..) {
-            out.send(to, msg);
-        }
-        self.send_buf = sends;
+        out.append_with(|sends| self.take_local_step(sends));
     }
 
     fn is_quiescent(&self) -> bool {

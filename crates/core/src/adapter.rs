@@ -9,15 +9,13 @@ use crate::engine::GossipEngine;
 ///
 /// One simulator local step maps onto the paper's step structure: first every
 /// message delivered at this step is handed to [`GossipEngine::deliver`],
-/// then [`GossipEngine::local_step`] computes and emits the step's sends.
+/// then [`GossipEngine::local_step`] computes and appends the step's sends
+/// straight to the simulator's send log ([`Outbox::append_with`]).
 #[derive(Debug, Clone)]
 pub struct SimGossip<G: GossipEngine> {
     engine: G,
     units_sent: u64,
     units_received: u64,
-    /// Reusable buffer for the engine's per-step sends, so steady-state
-    /// stepping does not allocate.
-    sends: Vec<(agossip_sim::ProcessId, G::Msg)>,
 }
 
 impl<G: GossipEngine> SimGossip<G> {
@@ -27,7 +25,6 @@ impl<G: GossipEngine> SimGossip<G> {
             engine,
             units_sent: 0,
             units_received: 0,
-            sends: Vec::new(),
         }
     }
 
@@ -70,12 +67,15 @@ impl<G: GossipEngine> Process for SimGossip<G> {
             self.units_received += G::msg_units(&env.payload);
             self.engine.deliver(env.from, env.payload);
         }
-        self.sends.clear();
-        self.engine.local_step(&mut self.sends);
-        for (to, msg) in self.sends.drain(..) {
-            self.units_sent += G::msg_units(&msg);
-            out.send(to, msg);
-        }
+        // The engine appends straight into the step's send log.
+        let (engine, units_sent) = (&mut self.engine, &mut self.units_sent);
+        out.append_with(|sends| {
+            let tail = sends.len();
+            engine.local_step(sends);
+            for (_, msg) in &sends[tail..] {
+                *units_sent += G::msg_units(msg);
+            }
+        });
     }
 
     fn is_quiescent(&self) -> bool {

@@ -169,6 +169,11 @@ pub trait GossipEngine {
 
     /// Executes one local step: compute and push any outgoing messages (as
     /// `(destination, message)` pairs) into `out`.
+    ///
+    /// `out` is append-only: it may already hold other processes' sends
+    /// (the simulator lends its step-wide send log, see
+    /// [`agossip_sim::Outbox::append_with`]), so an implementation pushes
+    /// and never removes, reorders or rewrites an entry it did not push.
     fn local_step(&mut self, out: &mut Vec<(ProcessId, Self::Msg)>);
 
     /// This process's identifier.

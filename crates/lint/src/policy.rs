@@ -121,10 +121,15 @@ pub fn default_policy() -> Policy {
         // process of its shard, so a panic there takes out all of them at
         // once. The epoch/service paths peel and route epoch-tagged frames
         // (and absorb stale ones) on that same per-frame surface, so they
-        // are held to the same rule.
+        // are held to the same rule. So is the simulator's per-message
+        // path — the step's send log, the step core and the network's
+        // 32-bit in-flight records: a panic there ends a whole sweep worker.
         entry(
             RuleId::NeverPanicDecode,
             &[
+                "crates/sim/src/message.rs",
+                "crates/sim/src/network.rs",
+                "crates/sim/src/scheduler.rs",
                 "crates/core/src/codec.rs",
                 "crates/core/src/codec_view.rs",
                 "crates/core/src/epoch.rs",
@@ -218,6 +223,18 @@ mod tests {
             "bench may read the clock"
         );
         assert!(bench.contains(&RuleId::NoUnsafe));
+
+        for sim_path in [
+            "crates/sim/src/message.rs",
+            "crates/sim/src/network.rs",
+            "crates/sim/src/scheduler.rs",
+        ] {
+            let rules = policy.rules_for(sim_path);
+            assert!(
+                rules.contains(&RuleId::NeverPanicDecode),
+                "{sim_path} carries every simulated message and must not panic"
+            );
+        }
 
         let sim_test = policy.rules_for("crates/sim/tests/network_differential.rs");
         assert!(!sim_test.contains(&RuleId::NoNondeterministicCollections));

@@ -28,7 +28,8 @@ pub struct SimConfig {
     pub n: usize,
     /// Maximum number of crash failures the execution may contain (`f < n`).
     pub f: usize,
-    /// Upper bound on message delivery delay for this execution (`d ≥ 1`).
+    /// Upper bound on message delivery delay for this execution
+    /// (`1 ≤ d < 2^32 − 1`: in-flight delays are kept in 32 bits).
     pub d: u64,
     /// Upper bound on the scheduling gap of live processes (`δ ≥ 1`).
     pub delta: u64,
@@ -132,6 +133,14 @@ impl SimConfig {
                 reason: "d must be at least 1".into(),
             });
         }
+        if self.d >= u64::from(u32::MAX) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "d must be < 2^32 - 1 (in-flight delays are kept in 32 bits), got d = {}",
+                    self.d
+                ),
+            });
+        }
         if self.delta == 0 {
             return Err(SimError::InvalidConfig {
                 reason: "delta must be at least 1".into(),
@@ -219,6 +228,21 @@ mod tests {
         assert!(SimConfig::new(4, 1).with_d(0).validate().is_err());
         assert!(SimConfig::new(4, 1).with_delta(0).validate().is_err());
         assert!(SimConfig::new(4, 1).with_max_steps(0).validate().is_err());
+    }
+
+    #[test]
+    fn rejects_d_beyond_32_bits() {
+        let largest = u64::from(u32::MAX) - 1;
+        SimConfig::new(4, 1).with_d(largest).validate().unwrap();
+        for d in [largest + 1, u64::MAX] {
+            let err = SimConfig::new(4, 1).with_d(d).validate().unwrap_err();
+            match err {
+                SimError::InvalidConfig { reason } => {
+                    assert!(reason.contains("32 bits"), "reason: {reason}")
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,19 +17,57 @@
 //! that many times: collection is O(delivered) amortized. Withheld messages
 //! are never due; a queue holding nothing else is skipped by the
 //! earliest-deadline check.
+//!
+//! A queued message is a compact record, not an [`Envelope`]: the queue
+//! already names the destination, so it keeps the payload, `sent_at`, and
+//! the sender and the delay as `u32` each — 32 bytes for a `tears` message.
+//! The deadline is recomputed from `sent_at + delay` when a pass looks at
+//! it, and a delivery rebuilds the envelope.
 
 use crate::message::Envelope;
 use crate::process::ProcessId;
 use crate::time::TimeStep;
 
-/// A message waiting in the network together with the earliest time at which
-/// it may be delivered.
+/// The delay recorded for a message withheld for the rest of the execution.
+const WITHHELD: u32 = u32::MAX;
+
+/// A message waiting in the network.
+///
+/// The destination is the queue that holds the record, so it keeps only
+/// what a delivery rebuilds the [`Envelope`] from, with the sender and the
+/// delay in 32 bits each: 32 bytes for a 16-byte payload. Both fit by
+/// construction:
+/// [`SimConfig`](crate::SimConfig) caps `n` at 2^20 and `d` below
+/// `u32::MAX`.
 #[derive(Debug, Clone)]
 struct InFlight<M> {
-    envelope: Envelope<M>,
-    /// The message becomes deliverable at any scheduled step of the recipient
-    /// occurring at time `>= deliverable_at`.
-    deliverable_at: TimeStep,
+    payload: M,
+    sent_at: TimeStep,
+    from: u32,
+    /// Steps from `sent_at` to delivery, or [`WITHHELD`].
+    delay: u32,
+}
+
+impl<M> InFlight<M> {
+    /// The message becomes deliverable at any scheduled step of the
+    /// recipient occurring at time `>=` this.
+    fn deliverable_at(&self) -> TimeStep {
+        if self.delay == WITHHELD {
+            TimeStep(u64::MAX)
+        } else {
+            self.sent_at.after(u64::from(self.delay))
+        }
+    }
+
+    /// The envelope this record was sent as, addressed to `to`.
+    fn into_envelope(self, to: ProcessId) -> Envelope<M> {
+        Envelope {
+            from: ProcessId(self.from as usize),
+            to,
+            sent_at: self.sent_at,
+            payload: self.payload,
+        }
+    }
 }
 
 /// The messages in flight to one destination.
@@ -78,17 +116,40 @@ impl<M> Network<M> {
     /// A `delay` of `u64::MAX` models a message the adversary withholds for
     /// the remainder of the execution (used by the adaptive lower-bound
     /// adversary); such messages still count as *sent* for message-complexity
-    /// accounting, which is done by the caller.
+    /// accounting, which is done by the caller. Delays are kept in 32 bits,
+    /// so any `delay >= u32::MAX` withholds the message too; the model's
+    /// delays never reach that (`SimConfig` rejects `d >= u32::MAX`).
     pub fn send(&mut self, envelope: Envelope<M>, delay: u64) {
-        let deliverable_at = envelope.sent_at.after(delay);
-        let to = envelope.to.index();
-        debug_assert!(to < self.queues.len(), "destination out of range");
-        let queue = &mut self.queues[to];
-        queue.earliest = earliest_with(queue.earliest, deliverable_at);
-        queue.pending.push(InFlight {
-            envelope,
-            deliverable_at,
-        });
+        let Envelope {
+            from,
+            to,
+            sent_at,
+            payload,
+        } = envelope;
+        self.push(from, to, sent_at, payload, delay);
+    }
+
+    /// [`Self::send`] without building the envelope: what the scheduler
+    /// calls for every entry of a step's send log.
+    pub(crate) fn push(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        sent_at: TimeStep,
+        payload: M,
+        delay: u64,
+    ) {
+        debug_assert!(to.index() < self.queues.len(), "destination out of range");
+        debug_assert!(u32::try_from(from.index()).is_ok(), "sender out of range");
+        let message = InFlight {
+            payload,
+            sent_at,
+            from: u32::try_from(from.index()).unwrap_or(u32::MAX),
+            delay: u32::try_from(delay).unwrap_or(WITHHELD),
+        };
+        let queue = &mut self.queues[to.index()];
+        queue.earliest = earliest_with(queue.earliest, message.deliverable_at());
+        queue.pending.push(message);
         self.in_flight += 1;
     }
 
@@ -121,13 +182,14 @@ impl<M> Network<M> {
         let before = queue.pending.len();
         let mut earliest = None;
         let due = queue.pending.extract_if(.., |m| {
-            let due = m.deliverable_at <= now;
+            let at = m.deliverable_at();
+            let due = at <= now;
             if !due {
-                earliest = earliest_with(earliest, m.deliverable_at);
+                earliest = earliest_with(earliest, at);
             }
             due
         });
-        out.extend(due.map(|m| m.envelope));
+        out.extend(due.map(|m| m.into_envelope(to)));
         queue.earliest = earliest;
         self.in_flight -= before - queue.pending.len();
     }
@@ -173,18 +235,17 @@ impl<M> Network<M> {
         self.in_flight == 0
     }
 
-    /// Iterates over the messages currently queued for `to` (regardless of
-    /// delivery deadline) in send order, without removing them.
-    pub fn iter_for(&self, to: ProcessId) -> impl Iterator<Item = &Envelope<M>> {
-        self.queues[to.index()].pending.iter().map(|m| &m.envelope)
-    }
-
-    /// Clones every message currently queued for `to`, in send order.
+    /// Clones every message currently queued for `to` (regardless of
+    /// delivery deadline), in send order.
     pub fn clone_pending_for(&self, to: ProcessId) -> Vec<Envelope<M>>
     where
         M: Clone,
     {
-        self.iter_for(to).cloned().collect()
+        let pending = &self.queues[to.index()].pending;
+        pending
+            .iter()
+            .map(|m| m.clone().into_envelope(to))
+            .collect()
     }
 
     /// True if every in-flight message has a delivery deadline of
@@ -367,6 +428,39 @@ mod tests {
         // A send into an emptied queue sets its deadline afresh.
         net.send(env(0, far.index(), 10, 4), 2);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(12)));
+    }
+
+    #[test]
+    fn an_in_flight_tears_sized_message_takes_32_bytes() {
+        // `[u64; 2]` is the size of a `TearsMessage` (an `Arc` and a flag).
+        assert_eq!(std::mem::size_of::<InFlight<[u64; 2]>>(), 32);
+    }
+
+    #[test]
+    fn compact_records_rebuild_the_sent_envelope() {
+        // The largest sender the simulator admits (n = 2^20) and the
+        // largest delay it admits, d = 2^32 - 2.
+        let mut net: Network<u32> = Network::new(4);
+        let far = ProcessId((1 << 20) - 1);
+        let sent = env(far.index(), 3, 41, 7);
+        net.send(sent.clone(), u64::from(u32::MAX) - 1);
+        assert_eq!(
+            net.earliest_deliverable_for(ProcessId(3)),
+            Some(TimeStep(41 + u64::from(u32::MAX) - 1))
+        );
+        assert_eq!(net.clone_pending_for(ProcessId(3)), vec![sent.clone()]);
+        let got = net.collect_deliverable(ProcessId(3), TimeStep(u64::MAX - 1));
+        assert_eq!(got, vec![sent]);
+    }
+
+    #[test]
+    fn delays_beyond_32_bits_withhold() {
+        let mut net: Network<u32> = Network::new(2);
+        net.send(env(0, 1, 5, 1), u64::from(u32::MAX));
+        net.send(env(0, 1, 5, 2), u64::MAX);
+        assert_eq!(net.earliest_deliverable(), Some(TimeStep(u64::MAX)));
+        assert!(net.all_beyond(TimeStep(u64::MAX - 1)));
+        assert_eq!(net.pending_for(ProcessId(1)), 2);
     }
 
     #[test]

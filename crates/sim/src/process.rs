@@ -90,7 +90,9 @@ pub trait Process {
     /// steady-state stepping performs no inbox allocation; anything left in
     /// it after the step is discarded. Outgoing messages are pushed into
     /// `out`; the simulator stamps them with the current time and hands them
-    /// to the network.
+    /// to the network. `out` is the step's send log, shared by every process
+    /// scheduled in the step: treat it as append-only (queue through
+    /// [`Outbox::send`], [`Outbox::send_all`] or [`Outbox::append_with`]).
     fn on_step(
         &mut self,
         now: TimeStep,

@@ -11,6 +11,12 @@
 //!   adversaries (notably the Theorem 1 lower-bound adversary in
 //!   `agossip-adversary`), which need to schedule precise subsets of
 //!   processes, withhold messages, and inspect pending traffic.
+//!
+//! Both run one step core. Every scheduled process appends its sends to the
+//! step's send log (the [`Outbox`], one segment per process); the core then
+//! makes two passes over the log — choose and validate every delay, then
+//! hand every message to the network — so a step that fails sends nothing.
+//! No message is copied between the log and its destination queue.
 
 use crate::adversary::{Adversary, StepPlan, SystemView};
 use crate::config::SimConfig;
@@ -55,11 +61,14 @@ pub struct Simulation<P: Process> {
     /// Reusable delivery buffer handed to each local step; cleared between
     /// processes so steady-state stepping allocates nothing.
     inbox: Vec<Envelope<P::Message>>,
-    /// Reusable outbox handed to each local step.
+    /// The step's send log, reused across steps: every scheduled process
+    /// appends its sends to it, one segment per process.
     outbox: Outbox<P::Message>,
-    /// Reusable buffer of `(envelope, delay)` pairs produced by one global
-    /// step, filled before the batch is handed to the network.
-    outgoing: Vec<(Envelope<P::Message>, u64)>,
+    /// `(sender, end)` of each segment of `outbox`, in schedule order.
+    segments: Vec<(ProcessId, usize)>,
+    /// The delay chosen for each entry of `outbox`, in log order; 0 marks a
+    /// message to a crashed destination, which is dropped.
+    delays: Vec<u64>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -88,7 +97,8 @@ impl<P: Process> Simulation<P> {
             now: TimeStep::ZERO,
             inbox: Vec::new(),
             outbox: Outbox::new(),
-            outgoing: Vec::new(),
+            segments: Vec::new(),
+            delays: Vec::new(),
         })
     }
 
@@ -254,11 +264,13 @@ impl<P: Process> Simulation<P> {
     /// The step body shared by [`Self::step_manual`] and [`Self::step_with`].
     ///
     /// One global time step: apply `crashes`, let every alive process in
-    /// `schedule` take a local step (receive due messages, compute, send),
-    /// then assign each outgoing message the delay chosen by `delay_for` and
-    /// hand it to the network. Uses the simulation's reusable
-    /// inbox/outbox/outgoing buffers, so steady-state stepping performs no
-    /// allocation.
+    /// `schedule` take a local step (receive due messages, compute, append
+    /// its sends to the step's send log), then assign each logged message
+    /// the delay chosen by `delay_for` and hand it to the network. Two
+    /// passes over the log: every delay is chosen and validated before the
+    /// first message reaches the network, so a step that fails sends
+    /// nothing. Uses the simulation's reusable inbox, send log and delay
+    /// buffers, so steady-state stepping performs no allocation.
     fn step_core<F>(
         &mut self,
         schedule: &[ProcessId],
@@ -278,7 +290,10 @@ impl<P: Process> Simulation<P> {
         // drop them — every `SimError` here is terminal for the run.
         let mut inbox = std::mem::take(&mut self.inbox);
         let mut outbox = std::mem::take(&mut self.outbox);
-        let mut outgoing = std::mem::take(&mut self.outgoing);
+        let mut segments = std::mem::take(&mut self.segments);
+        let mut delays = std::mem::take(&mut self.delays);
+        segments.clear();
+        delays.clear();
 
         for &pid in schedule {
             if pid.index() >= self.config.n {
@@ -300,27 +315,22 @@ impl<P: Process> Simulation<P> {
                 .record_step(pid, self.last_scheduled[pid.index()], self.now);
             self.last_scheduled[pid.index()] = self.now;
 
+            outbox.begin_segment();
             self.processes[pid.index()].on_step(self.now, &mut inbox, &mut outbox);
             self.quiescent[pid.index()] = self.processes[pid.index()].is_quiescent();
 
             self.metrics.record_sent(pid, outbox.len() as u64);
-            for (to, payload) in outbox.drain() {
-                if to.index() >= self.config.n {
-                    return Err(SimError::UnknownProcess {
-                        pid: to,
-                        n: self.config.n,
-                    });
-                }
-                outgoing.push((
-                    Envelope {
-                        from: pid,
-                        to,
-                        sent_at: self.now,
-                        payload,
-                    },
-                    0,
-                ));
+            if let Some(&(to, _)) = outbox
+                .sends()
+                .iter()
+                .find(|(to, _)| to.index() >= self.config.n)
+            {
+                return Err(SimError::UnknownProcess {
+                    pid: to,
+                    n: self.config.n,
+                });
             }
+            segments.push((pid, outbox.log().len()));
         }
 
         // Assign delays against one view snapshot taken after all local
@@ -329,32 +339,50 @@ impl<P: Process> Simulation<P> {
         // the pre-send count (documented on `SystemView::in_flight`).
         {
             let view = self.view();
-            for (env, delay) in outgoing.iter_mut() {
-                if self.statuses[env.to.index()].is_crashed() {
-                    continue;
+            let log = outbox.log();
+            let mut begin = 0;
+            for &(from, end) in &segments {
+                for &(to, _) in &log[begin..end] {
+                    if self.statuses[to.index()].is_crashed() {
+                        delays.push(0);
+                        continue;
+                    }
+                    let meta = EnvelopeMeta {
+                        from,
+                        to,
+                        sent_at: self.now,
+                    };
+                    let chosen = delay_for(&meta, &view);
+                    if chosen == 0 || (chosen > self.config.d && chosen != u64::MAX) {
+                        return Err(SimError::DelayOutOfBounds {
+                            from,
+                            to,
+                            delay: chosen,
+                            d: self.config.d,
+                        });
+                    }
+                    delays.push(chosen);
                 }
-                let chosen = delay_for(&env.meta(), &view);
-                if chosen == 0 || (chosen > self.config.d && chosen != u64::MAX) {
-                    return Err(SimError::DelayOutOfBounds {
-                        from: env.from,
-                        to: env.to,
-                        delay: chosen,
-                        d: self.config.d,
-                    });
-                }
-                *delay = chosen;
+                begin = end;
             }
         }
 
-        for (env, delay) in outgoing.drain(..) {
-            // Messages to crashed destinations are dropped (they can never be
-            // received) but they were already counted as sent above.
-            if self.statuses[env.to.index()].is_crashed() {
-                self.metrics.record_dropped(1);
-                continue;
+        let mut sends = outbox.drain_log().zip(delays.iter());
+        let mut begin = 0;
+        for &(from, end) in &segments {
+            for ((to, payload), &delay) in sends.by_ref().take(end - begin) {
+                // Messages to crashed destinations are dropped (they can
+                // never be received) but they were already counted as sent
+                // above.
+                if delay == 0 {
+                    self.metrics.record_dropped(1);
+                    continue;
+                }
+                self.network.push(from, to, self.now, payload, delay);
             }
-            self.network.send(env, delay);
+            begin = end;
         }
+        drop(sends);
 
         if self.system_quiescent() {
             self.metrics.record_quiescence(self.now);
@@ -367,7 +395,8 @@ impl<P: Process> Simulation<P> {
         inbox.clear();
         self.inbox = inbox;
         self.outbox = outbox;
-        self.outgoing = outgoing;
+        self.segments = segments;
+        self.delays = delays;
         Ok(())
     }
 
@@ -662,6 +691,105 @@ mod tests {
         ));
         // Nothing entered the network: the step failed before sending.
         assert_eq!(sim.in_flight(), 0);
+    }
+
+    #[test]
+    fn an_invalid_delay_on_the_last_message_of_a_step_sends_nothing() {
+        // Three processes each send two messages; only the very last one of
+        // the step (p2 -> p1) gets an invalid delay. A step that handed each
+        // message to the network as soon as its delay was chosen would have
+        // sent the first five already.
+        let mut sim = flood_sim(3, 0, 2, 1);
+        let schedule = [ProcessId(0), ProcessId(1), ProcessId(2)];
+        let err = sim
+            .step_manual(&schedule, &[], |meta| {
+                if (meta.from, meta.to) == (ProcessId(2), ProcessId(1)) {
+                    9
+                } else {
+                    1
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::DelayOutOfBounds { delay: 9, d: 2, .. }
+        ));
+        assert_eq!(sim.in_flight(), 0);
+    }
+
+    #[test]
+    fn delays_are_chosen_in_schedule_then_send_order_against_one_view() {
+        // Records every `message_delay` call: (now, from, to, in_flight).
+        struct Recorder {
+            plans: Vec<StepPlan>,
+            calls: Vec<(TimeStep, ProcessId, ProcessId, usize)>,
+        }
+        impl Adversary for Recorder {
+            fn plan_step(&mut self, _view: &SystemView<'_>) -> StepPlan {
+                self.plans.remove(0)
+            }
+            fn message_delay(&mut self, meta: &EnvelopeMeta, view: &SystemView<'_>) -> u64 {
+                assert!(
+                    view.statuses[meta.to.index()].is_alive(),
+                    "a delay was chosen for crashed {}",
+                    meta.to
+                );
+                self.calls
+                    .push((view.now, meta.from, meta.to, view.in_flight));
+                // Withhold everything sent to p0; the rest is due in d = 2.
+                if meta.to == ProcessId(0) {
+                    u64::MAX
+                } else {
+                    2
+                }
+            }
+        }
+        let (p0, p1, p2, p3, p4) = (
+            ProcessId(0),
+            ProcessId(1),
+            ProcessId(2),
+            ProcessId(3),
+            ProcessId(4),
+        );
+        let mut adv = Recorder {
+            plans: vec![
+                StepPlan::schedule_only(vec![p4]),
+                StepPlan {
+                    schedule: vec![p3, p1, p0],
+                    crash: vec![p2],
+                },
+            ],
+            calls: Vec::new(),
+        };
+        let mut sim = flood_sim(5, 1, 2, 1);
+        sim.step_with(&mut adv).unwrap();
+        assert_eq!(sim.in_flight(), 4);
+        adv.calls.clear();
+        sim.step_with(&mut adv).unwrap();
+
+        // The crash drops p4's message to p2 first: three stay in flight.
+        // Then p3, p1 and p0 each send to the four others in id order, and
+        // nothing is asked about the crashed p2.
+        let t = TimeStep(1);
+        let expected: Vec<_> = [
+            (p3, p0),
+            (p3, p1),
+            (p3, p4),
+            (p1, p0),
+            (p1, p3),
+            (p1, p4),
+            (p0, p1),
+            (p0, p3),
+            (p0, p4),
+        ]
+        .into_iter()
+        .map(|(from, to)| (t, from, to, 3))
+        .collect();
+        assert_eq!(adv.calls, expected);
+        // 3 earlier + 9 new; the three messages to p2 were dropped.
+        assert_eq!(sim.in_flight(), 12);
+        assert_eq!(sim.metrics().messages_dropped, 4);
+        assert_eq!(sim.metrics().messages_sent, 16);
     }
 
     #[test]

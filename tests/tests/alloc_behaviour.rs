@@ -37,6 +37,7 @@ use agossip_analysis::experiments::scale::{
 };
 use agossip_analysis::experiments::{ExperimentScale, GossipProtocolKind};
 use agossip_analysis::{ScenarioSpec, TrialProtocol};
+use agossip_consensus::{ConsensusCtx, ConsensusProcess};
 use agossip_core::{
     run_gossip, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet, Tears, TearsFlag,
     TearsMessage, Trivial,
@@ -45,7 +46,7 @@ use agossip_runtime::{
     run_live, run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig, Threading,
     Transport,
 };
-use agossip_sim::{Envelope, Network, ProcessId, SimConfig, TimeStep};
+use agossip_sim::{Envelope, Network, Outbox, Process, ProcessId, SimConfig, TimeStep};
 
 /// Forwards to the system allocator, counting every allocation call and the
 /// bytes it requested.
@@ -434,4 +435,120 @@ fn service_epoch_gc_keeps_live_state_o_window_not_o_epochs() {
         "a 256-epoch service run must keep live state O(window), not \
          O(epochs): peak {long_peak} bytes vs {short_peak} for 16 epochs"
     );
+}
+
+#[test]
+fn tears_n128_trial_peak_live_bytes_stay_under_128_mib() {
+    // The in-flight memory pin. A tears n = 128 trial at the paper's
+    // constants sends ~2 M point-to-point messages, and the high-water mark
+    // of live bytes is set by the messages in flight at once. Each is one
+    // 32-byte record in its destination's queue; the step's sends sit once
+    // in the send log until they reach the network. Measured 96 MiB; with a
+    // 48-byte record and a second staging copy of every step's sends, the
+    // same trial peaked at 178 MiB.
+    let scale = ExperimentScale::default();
+    let kind = TrialProtocol::Gossip(GossipProtocolKind::Tears);
+    let spec = ScenarioSpec::from_scale(kind, &scale, 128);
+
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let floor = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(floor, Ordering::Relaxed);
+    let report = spec.run_trial(0).unwrap();
+    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed) - floor;
+    drop(window);
+
+    assert!(report.ok);
+    assert!(
+        report.messages > 2_000_000,
+        "got {} messages",
+        report.messages
+    );
+    eprintln!("peak live bytes: {peak}, messages: {}", report.messages);
+    assert!(
+        peak < 128 << 20,
+        "a tears n=128 trial must peak below 128 MiB of live heap, got {} MiB",
+        peak >> 20
+    );
+}
+
+/// A gossip engine that sends one message to every other process on every
+/// step and never collects a majority, so a consensus participant over it
+/// stays in its first exchange and steps without allocating anything of its
+/// own.
+#[derive(Debug, Clone)]
+struct Chatter {
+    pid: ProcessId,
+    n: usize,
+    rumors: RumorSet,
+    steps: u64,
+}
+
+impl GossipEngine for Chatter {
+    type Msg = u64;
+
+    fn deliver(&mut self, _from: ProcessId, _msg: u64) {}
+
+    fn local_step(&mut self, out: &mut Vec<(ProcessId, u64)>) {
+        self.steps += 1;
+        for q in ProcessId::all(self.n).filter(|&q| q != self.pid) {
+            out.push((q, self.steps));
+        }
+    }
+
+    fn pid(&self) -> ProcessId {
+        self.pid
+    }
+
+    fn rumors(&self) -> &RumorSet {
+        &self.rumors
+    }
+
+    fn is_quiescent(&self) -> bool {
+        false
+    }
+
+    fn steps_taken(&self) -> u64 {
+        self.steps
+    }
+}
+
+#[test]
+fn steady_state_consensus_step_allocates_no_staging_vec() {
+    // A consensus step wraps its gossip instance's sends and appends them to
+    // the simulator's send log. Once the log and the participant's reused
+    // buffer have grown to a step's worth of sends, a step allocates
+    // nothing; a staging `Vec` built per step costs at least one allocation
+    // each time.
+    let n = 8;
+    let ctx = ConsensusCtx::new(ProcessId(0), n, 3, 1, 7);
+    let mut process = ConsensusProcess::new(ctx, |ctx: GossipCtx| Chatter {
+        pid: ctx.pid,
+        n: ctx.n,
+        rumors: RumorSet::singleton(ctx.rumor),
+        steps: 0,
+    });
+    let mut out = Outbox::new();
+    let mut inbox = Vec::new();
+    for t in 0..2 {
+        process.on_step(TimeStep(t), &mut inbox, &mut out);
+        out.drain().for_each(drop);
+    }
+
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let before = THREAD_ALLOCATIONS.get();
+    let mut sent = 0;
+    for t in 2..66 {
+        process.on_step(TimeStep(t), &mut inbox, &mut out);
+        sent += out.len();
+        out.drain().for_each(drop);
+    }
+    let during = THREAD_ALLOCATIONS.get() - before;
+    drop(window);
+
+    assert_eq!(
+        sent,
+        64 * (n - 1),
+        "every step sends to every other process"
+    );
+    assert_eq!(during, 0, "a steady-state consensus step must not allocate");
 }
