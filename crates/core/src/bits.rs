@@ -21,7 +21,12 @@
 //! behaviour (membership, union deltas, ascending iteration order,
 //! equality) is identical in both representations, so executions are
 //! bit-for-bit unchanged; only the memory touched by small sets shrinks
-//! from `Θ(n)` to `O(|set|)`.
+//! from `Θ(n)` to `O(|set|)`. An `InformedList` keeps one `AdaptiveSet` per
+//! origin only while some row is sparse or the rows are smaller than its
+//! one-vector word matrix; the slice kernels below (`or_into`,
+//! `words_superset`, the little-endian wire-row forms) serve a `WordSet`'s
+//! words and a matrix row alike, and the `*_words` methods let an
+//! `AdaptiveSet` row meet a matrix row without materializing either.
 
 use std::borrow::Cow;
 
@@ -54,6 +59,88 @@ pub(crate) fn outgrows_sparse(
 pub(crate) fn trimmed(words: &[u64]) -> &[u64] {
     let len = words.len() - words.iter().rev().take_while(|&&w| w == 0).count();
     &words[..len]
+}
+
+/// ORs `theirs` into the words of `own` it overlaps (callers size `own`
+/// first; words of `theirs` beyond it are ignored). Returns the number of
+/// bits newly set. A straight-line zip over two slices, so it
+/// autovectorizes.
+pub(crate) fn or_into(own: &mut [u64], theirs: &[u64]) -> usize {
+    let mut added = 0usize;
+    for (own, &word) in own.iter_mut().zip(theirs) {
+        added += (word & !*own).count_ones() as usize;
+        *own |= word;
+    }
+    added
+}
+
+/// True if every bit of `theirs` is set in `own`. One forward pass: the
+/// shared prefix eight words at a time (one test per chunk, so the body
+/// vectorizes), then whatever `theirs` holds beyond `own` must be zero.
+pub(crate) fn words_superset(own: &[u64], theirs: &[u64]) -> bool {
+    let shared = own.len().min(theirs.len());
+    let (theirs, surplus) = theirs.split_at(shared);
+    let mut own_chunks = own[..shared].chunks_exact(8);
+    let mut their_chunks = theirs.chunks_exact(8);
+    for (own, their) in own_chunks.by_ref().zip(their_chunks.by_ref()) {
+        let miss = own
+            .iter()
+            .zip(their)
+            .fold(0, |miss, (a, b)| miss | (b & !a));
+        if miss != 0 {
+            return false;
+        }
+    }
+    own_chunks
+        .remainder()
+        .iter()
+        .zip(their_chunks.remainder())
+        .all(|(a, b)| b & !a == 0)
+        && surplus.iter().all(|&w| w == 0)
+}
+
+/// The little-endian 8-byte words of a dense wire row, low word first;
+/// trailing bytes short of a full word are ignored.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|chunk| {
+        chunk
+            .first_chunk::<8>()
+            .map_or(0, |arr| u64::from_le_bytes(*arr))
+    })
+}
+
+/// ORs little-endian word bytes into the words of `own` they overlap
+/// (callers size `own` first). Returns the number of bits newly set.
+pub(crate) fn or_le_into(own: &mut [u64], bytes: &[u8]) -> usize {
+    let mut added = 0usize;
+    for (own, word) in own.iter_mut().zip(le_words(bytes)) {
+        added += (word & !*own).count_ones() as usize;
+        *own |= word;
+    }
+    added
+}
+
+/// True if every bit named by little-endian word bytes is set in `own`.
+pub(crate) fn le_words_within(own: &[u64], bytes: &[u8]) -> bool {
+    le_words(bytes)
+        .enumerate()
+        .all(|(w, word)| word & !own.get(w).copied().unwrap_or(0) == 0)
+}
+
+/// How many words of little-endian word bytes reach their last set bit.
+pub(crate) fn le_span(bytes: &[u8]) -> usize {
+    le_words(bytes)
+        .enumerate()
+        .filter(|&(_, word)| word != 0)
+        .last()
+        .map_or(0, |(w, _)| w + 1)
+}
+
+/// ANDs `own` into `mask` (words `own` lacks count as zero).
+pub(crate) fn and_words_into(own: &[u64], mask: &mut [u64]) {
+    for (w, m) in mask.iter_mut().enumerate() {
+        *m &= own.get(w).copied().unwrap_or(0);
+    }
 }
 
 /// A set of `usize` indices packed 64 per word.
@@ -130,12 +217,7 @@ impl WordSet {
             words
         };
         self.ensure_words(words.len());
-        let mut added = 0usize;
-        for (own, &word) in self.words.iter_mut().zip(words) {
-            added += (word & !*own).count_ones() as usize;
-            *own |= word;
-        }
-        added
+        or_into(&mut self.words, words)
     }
 
     /// ORs `bytes.len() / 8` little-endian 8-byte words (starting at word
@@ -144,58 +226,38 @@ impl WordSet {
     /// ignored. Returns the number of indices added.
     pub(crate) fn or_le_words(&mut self, bytes: &[u8]) -> usize {
         self.ensure_words(bytes.len() / 8);
-        let mut added = 0usize;
-        for (own, chunk) in self.words.iter_mut().zip(bytes.chunks_exact(8)) {
-            if let Some(arr) = chunk.first_chunk::<8>() {
-                let word = u64::from_le_bytes(*arr);
-                added += (word & !*own).count_ones() as usize;
-                *own |= word;
-            }
-        }
-        added
+        or_le_into(&mut self.words, bytes)
     }
 
-    /// True if every index of `other` is in `self`. One forward pass: the
-    /// shared prefix eight words at a time (one test per chunk, so the body
-    /// vectorizes), then whatever `other` holds beyond our storage must be
-    /// zero.
+    /// True if every index of `other` is in `self` (see
+    /// [`words_superset`]).
     pub(crate) fn is_superset_of(&self, other: &WordSet) -> bool {
-        let shared = self.words.len().min(other.words.len());
-        let (theirs, surplus) = other.words.split_at(shared);
-        let mut own_chunks = self.words[..shared].chunks_exact(8);
-        let mut their_chunks = theirs.chunks_exact(8);
-        for (own, their) in own_chunks.by_ref().zip(their_chunks.by_ref()) {
-            let miss = own
-                .iter()
-                .zip(their)
-                .fold(0, |miss, (a, b)| miss | (b & !a));
-            if miss != 0 {
-                return false;
-            }
-        }
-        own_chunks
-            .remainder()
-            .iter()
-            .zip(their_chunks.remainder())
-            .all(|(a, b)| b & !a == 0)
-            && surplus.iter().all(|&w| w == 0)
+        words_superset(&self.words, &other.words)
     }
 
     /// Iterates over the set indices in ascending order.
     pub(crate) fn iter(&self) -> WordSetIter<'_> {
-        WordSetIter {
-            words: &self.words,
-            w: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        WordSetIter::new(&self.words)
     }
 }
 
-/// Ascending iterator over a [`WordSet`]'s indices.
+/// Ascending iterator over the indices of a word slice (a [`WordSet`]'s
+/// words, or one row of an informed-list matrix).
 pub(crate) struct WordSetIter<'a> {
     words: &'a [u64],
     w: usize,
     current: u64,
+}
+
+impl<'a> WordSetIter<'a> {
+    /// Iterates the set bits of `words`, low word first.
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        WordSetIter {
+            words,
+            w: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for WordSetIter<'_> {
@@ -322,15 +384,11 @@ impl AdaptiveSet {
                 self.promote_if_outgrown();
                 added
             }
-            (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(_)) => {
-                self.promote();
-                self.union(other)
-            }
+            (_, AdaptiveSet::Dense(theirs)) => self.or_words(theirs.words()),
             (AdaptiveSet::Dense(words), AdaptiveSet::Sparse(theirs)) => theirs
                 .iter()
                 .map(|&id| words.insert(id as usize) as usize)
                 .sum(),
-            (AdaptiveSet::Dense(own), AdaptiveSet::Dense(theirs)) => own.union(theirs),
         }
     }
 
@@ -349,21 +407,8 @@ impl AdaptiveSet {
     /// `self`.
     pub(crate) fn is_superset_of_le_words(&self, bytes: &[u8]) -> bool {
         match self {
-            AdaptiveSet::Dense(words) => {
-                let own = words.words();
-                bytes.chunks_exact(8).enumerate().all(|(w, chunk)| {
-                    let word = chunk
-                        .first_chunk::<8>()
-                        .map(|arr| u64::from_le_bytes(*arr))
-                        .unwrap_or(0);
-                    word & !own.get(w).copied().unwrap_or(0) == 0
-                })
-            }
-            AdaptiveSet::Sparse(_) => bytes.chunks_exact(8).enumerate().all(|(w, chunk)| {
-                let mut word = chunk
-                    .first_chunk::<8>()
-                    .map(|arr| u64::from_le_bytes(*arr))
-                    .unwrap_or(0);
+            AdaptiveSet::Dense(words) => le_words_within(words.words(), bytes),
+            AdaptiveSet::Sparse(_) => le_words(bytes).enumerate().all(|(w, mut word)| {
                 while word != 0 {
                     let index = w * 64 + word.trailing_zeros() as usize;
                     if !self.contains(index) {
@@ -376,16 +421,87 @@ impl AdaptiveSet {
         }
     }
 
+    /// A dense set built from presence words (trailing zero words dropped);
+    /// an empty sparse set if no bit is set.
+    pub(crate) fn from_words(words: &[u64]) -> AdaptiveSet {
+        match trimmed(words) {
+            [] => AdaptiveSet::new(),
+            words => AdaptiveSet::Dense(WordSet {
+                words: words.to_vec(),
+            }),
+        }
+    }
+
+    /// The backing words (untrimmed) of a dense set; `None` while sparse.
+    pub(crate) fn dense_words(&self) -> Option<&[u64]> {
+        match self {
+            AdaptiveSet::Sparse(_) => None,
+            AdaptiveSet::Dense(words) => Some(words.words()),
+        }
+    }
+
+    /// How many presence words reach the largest index (0 when empty).
+    pub(crate) fn span(&self) -> usize {
+        match self {
+            AdaptiveSet::Sparse(ids) => ids.last().map_or(0, |&max| max as usize / 64 + 1),
+            AdaptiveSet::Dense(words) => trimmed(words.words()).len(),
+        }
+    }
+
+    /// ORs presence words (low word first) into the set, promoting to the
+    /// dense form first. Returns the number of indices added.
+    pub(crate) fn or_words(&mut self, words: &[u64]) -> usize {
+        self.promote();
+        match self {
+            AdaptiveSet::Dense(own) => own.or_words(words),
+            AdaptiveSet::Sparse(_) => 0,
+        }
+    }
+
+    /// True if every index set in `words` is in `self`.
+    pub(crate) fn is_superset_of_words(&self, words: &[u64]) -> bool {
+        match self {
+            AdaptiveSet::Dense(own) => words_superset(own.words(), words),
+            // Every index of `words` must be one of self's few ids.
+            AdaptiveSet::Sparse(_) => WordSetIter::new(words).all(|id| self.contains(id)),
+        }
+    }
+
+    /// ORs this set into presence words sized to hold it (indices beyond
+    /// `words` are dropped). Returns the number of bits newly set.
+    pub(crate) fn or_into_words(&self, words: &mut [u64]) -> usize {
+        match self {
+            AdaptiveSet::Dense(own) => or_into(words, own.words()),
+            AdaptiveSet::Sparse(ids) => ids
+                .iter()
+                .filter_map(|&id| {
+                    let word = words.get_mut(id as usize / 64)?;
+                    let bit = 1u64 << (id % 64);
+                    let fresh = *word & bit == 0;
+                    *word |= bit;
+                    Some(usize::from(fresh))
+                })
+                .sum(),
+        }
+    }
+
+    /// True if every index of `self` is set in `words`.
+    pub(crate) fn is_within_words(&self, words: &[u64]) -> bool {
+        match self {
+            AdaptiveSet::Dense(own) => words_superset(words, own.words()),
+            AdaptiveSet::Sparse(ids) => ids.iter().all(|&id| {
+                words
+                    .get(id as usize / 64)
+                    .is_some_and(|w| w & (1 << (id % 64)) != 0)
+            }),
+        }
+    }
+
     /// True if every index of `other` is in `self`.
     pub(crate) fn is_superset_of(&self, other: &AdaptiveSet) -> bool {
-        match (self, other) {
-            (AdaptiveSet::Dense(own), AdaptiveSet::Dense(theirs)) => own.is_superset_of(theirs),
-            (_, AdaptiveSet::Sparse(theirs)) => theirs.iter().all(|&id| self.contains(id as usize)),
-            // Self is sparse, other dense: every index of `other` must be
-            // one of self's few ids.
-            (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(theirs)) => {
-                theirs.iter().all(|id| self.contains(id))
-            }
+        match other {
+            AdaptiveSet::Dense(theirs) => self.is_superset_of_words(theirs.words()),
+            AdaptiveSet::Sparse(theirs) => theirs.iter().all(|&id| self.contains(id as usize)),
         }
     }
 
@@ -413,12 +529,7 @@ impl AdaptiveSet {
                     *m &= own;
                 }
             }
-            AdaptiveSet::Dense(words) => {
-                let words = words.words();
-                for (w, m) in mask.iter_mut().enumerate() {
-                    *m &= words.get(w).copied().unwrap_or(0);
-                }
-            }
+            AdaptiveSet::Dense(words) => and_words_into(words.words(), mask),
         }
     }
 

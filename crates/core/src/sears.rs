@@ -156,10 +156,7 @@ impl GossipEngine for Sears {
         let mut targets = std::mem::take(&mut self.target_buf);
         targets.clear();
         targets.extend((0..self.fanout).map(|_| ProcessId(self.rng.gen_range(0..self.ctx.n))));
-        let informed = Arc::make_mut(&mut self.informed);
-        for &target in &targets {
-            informed.insert_all(&self.rumors, target);
-        }
+        Arc::make_mut(&mut self.informed).record_sends(&self.rumors, &targets);
         broadcast(out, &targets, msg);
         self.target_buf = targets;
     }

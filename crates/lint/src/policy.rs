@@ -124,6 +124,8 @@ pub fn default_policy() -> Policy {
         // are held to the same rule. So is the simulator's per-message
         // path — the step's send log, the step core and the network's
         // 32-bit in-flight records: a panic there ends a whole sweep worker.
+        // The informed-list takes frame-supplied ids (the codec's decoder
+        // and `union_view` feed it) into its matrix index arithmetic.
         entry(
             RuleId::NeverPanicDecode,
             &[
@@ -132,6 +134,7 @@ pub fn default_policy() -> Policy {
                 "crates/sim/src/scheduler.rs",
                 "crates/core/src/codec.rs",
                 "crates/core/src/codec_view.rs",
+                "crates/core/src/informed_list.rs",
                 "crates/core/src/epoch.rs",
                 "crates/runtime/src/transport.rs",
                 "crates/runtime/src/event_loop.rs",
@@ -142,12 +145,15 @@ pub fn default_policy() -> Policy {
             ],
             &[],
         ),
-        // (4) Narrowing in codec/wire code goes through try_from.
+        // (4) Narrowing in codec/wire code — and in the informed-list's
+        // matrix, which indexes by frame-supplied ids — goes through
+        // try_from.
         entry(
             RuleId::NoUncheckedNarrowing,
             &[
                 "crates/core/src/codec.rs",
                 "crates/core/src/codec_view.rs",
+                "crates/core/src/informed_list.rs",
                 "crates/core/src/wire.rs",
                 "crates/runtime/src/transport.rs",
             ],
@@ -203,6 +209,13 @@ mod tests {
         let view = policy.rules_for("crates/core/src/codec_view.rs");
         assert!(view.contains(&RuleId::NeverPanicDecode));
         assert!(view.contains(&RuleId::NoUncheckedNarrowing));
+
+        let informed = policy.rules_for("crates/core/src/informed_list.rs");
+        assert!(
+            informed.contains(&RuleId::NeverPanicDecode),
+            "the informed-list indexes its matrix by frame-supplied ids"
+        );
+        assert!(informed.contains(&RuleId::NoUncheckedNarrowing));
 
         let reactor = policy.rules_for("crates/runtime/src/reactor.rs");
         assert!(reactor.contains(&RuleId::NeverPanicDecode));

@@ -212,8 +212,9 @@ proptest! {
 
     /// `InformedList` coverage queries, unions and view unions agree between
     /// adaptive rows and force-promoted rows. Targets come from `0..48` (a
-    /// row is dense from its second target on) or from the wide universe (a
-    /// row stays a short id list).
+    /// row is dense from its second target on, and a union may leave a list
+    /// whose rows are all dense in its one-matrix form) or from the wide
+    /// universe (a row stays a short id list, and the list stays in rows).
     #[test]
     fn informed_list_observables_are_representation_independent(
         (pairs, extra) in any::<bool>().prop_flat_map(|wide| {

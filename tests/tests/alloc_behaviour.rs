@@ -38,9 +38,11 @@ use agossip_analysis::experiments::scale::{
 use agossip_analysis::experiments::{ExperimentScale, GossipProtocolKind};
 use agossip_analysis::{ScenarioSpec, TrialProtocol};
 use agossip_consensus::{ConsensusCtx, ConsensusProcess};
+use agossip_core::codec::MAX_WIRE_ID;
+use agossip_core::informed_list::InformedList;
 use agossip_core::{
-    run_gossip, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet, Tears, TearsFlag,
-    TearsMessage, Trivial,
+    run_gossip, EarsMessage, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet, Tears,
+    TearsFlag, TearsMessage, Trivial, WireCodec, WireDecodeView,
 };
 use agossip_runtime::{
     run_live, run_service, ChannelTransport, LiveConfig, Pacing, ServiceConfig, Threading,
@@ -551,4 +553,107 @@ fn steady_state_consensus_step_allocates_no_staging_vec() {
         "every step sends to every other process"
     );
     assert_eq!(during, 0, "a steady-state consensus step must not allocate");
+}
+
+#[test]
+fn ears_n128_trial_allocates_a_few_times_per_message() {
+    // Every `ears` message carries the sender's informed-list. A send
+    // records itself in a copy-on-write clone of the list the message
+    // shares, and a delivery folds the sender's list in. Held as one
+    // adaptive row per origin, that clone costs about one allocation per
+    // known rumor: the same trial measured 109 allocations per message. As
+    // one origin × target word matrix it is one allocation.
+    let scale = ExperimentScale::default();
+    let kind = TrialProtocol::Gossip(GossipProtocolKind::Ears);
+    let spec = ScenarioSpec::from_scale(kind, &scale, 128);
+    assert_eq!((spec.f, spec.d, spec.delta), (32, 2, 2));
+
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let before = THREAD_ALLOCATIONS.get();
+    let report = spec.run_trial(0).unwrap();
+    let trial = THREAD_ALLOCATIONS.get() - before;
+    drop(window);
+
+    assert!(report.ok);
+    let messages = report.messages;
+    assert!(messages > 1_000, "got {messages} messages");
+    eprintln!(
+        "allocations: {trial}, messages: {messages}, per message: {:.1}",
+        trial as f64 / messages as f64
+    );
+    assert!(
+        trial < 16 * messages,
+        "an ears n=128 trial must allocate fewer than 16 times per message: \
+         {trial} allocations for {messages} messages"
+    );
+}
+
+#[test]
+fn a_far_pair_frame_costs_a_matrix_list_a_row_not_a_matrix() {
+    // A decoded frame names ids up to `MAX_WIRE_ID − 1`. Folding the single
+    // pair (2^20 − 1, 2^20 − 1) into a list held as an origin × target word
+    // matrix must not size that matrix by max origin × max target — 2^20
+    // rows of 2^14 words, 128 TiB: the list goes back to one row per
+    // origin first. What remains is the receiver's row vector reaching
+    // origin 2^20 − 1 (32 MiB), which the 64 MiB bound leaves room for.
+    let n = 128;
+    let all: RumorSet = (0..n).map(|o| Rumor::new(ProcessId(o), o as u64)).collect();
+    let mut list = InformedList::new();
+    for q in ProcessId::all(n) {
+        list.insert_all(&all, q);
+    }
+    assert_eq!(list.len(), n * n);
+    let far = ProcessId(usize::try_from(MAX_WIRE_ID).unwrap() - 1);
+    let frame = {
+        let mut sender = InformedList::new();
+        sender.insert(far, far);
+        EarsMessage {
+            rumors: Arc::new(RumorSet::new()),
+            informed: Arc::new(sender),
+        }
+        .encode()
+    };
+
+    // `union` of the owned decoder's list, then `union_view` of the
+    // borrowed view, each measured on its own. The owned decoder's own list
+    // is built before its measurement starts: it holds the same row vector.
+    // The window is held throughout, so no other test's measurement sees
+    // these lists either.
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let measure = |fold: &dyn Fn(&mut InformedList)| {
+        let floor = LIVE_BYTES.load(Ordering::Relaxed);
+        PEAK_LIVE_BYTES.store(floor, Ordering::Relaxed);
+        let mut receiver = list.clone();
+        fold(&mut receiver);
+        (PEAK_LIVE_BYTES.load(Ordering::Relaxed) - floor, receiver)
+    };
+    let decoded = EarsMessage::decode(&frame);
+    let owned = decoded.as_ref().map(|msg| {
+        measure(&|receiver| {
+            receiver.union(&msg.informed);
+        })
+    });
+    let view = EarsMessage::decode_view(&frame);
+    let viewed = view.as_ref().map(|view| {
+        measure(&|receiver| {
+            receiver.union_view(&view.informed);
+        })
+    });
+    drop(window);
+
+    let ((owned, by_union), (viewed, by_view)) = (owned.unwrap(), viewed.unwrap());
+    for receiver in [&by_union, &by_view] {
+        assert_eq!(receiver.len(), n * n + 1);
+        assert!(receiver.contains(far, far));
+        assert!(receiver.is_superset_of(&list));
+    }
+    eprintln!("peak live bytes: decode + union {owned}, view + union_view {viewed}");
+    for peak in [owned, viewed] {
+        assert!(
+            peak < 64 << 20,
+            "folding one far pair into an n = {n} list must stay under 64 MiB \
+             of live heap, got {} MiB",
+            peak >> 20
+        );
+    }
 }

@@ -16,7 +16,10 @@
 //! handful of entries) or from a wide one (at most 64 ids out of `0..2^20`:
 //! the sets stay sorted entry lists), so both forms meet the oracle; and
 //! `promotion_follows_density_and_matches_oracle` pins *when* a set changes
-//! form — as soon as, and not before, its dense form is no larger.
+//! form — as soon as, and not before, its dense form is no larger. The
+//! informed-list driver also floods lists into their origin × target
+//! matrix form and sends them back to rows with pairs as far as
+//! `MAX_WIRE_ID − 1`, mid-sequence.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -24,8 +27,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use agossip_bench::rumorset::BTreeRumorSet;
+use agossip_core::codec::MAX_WIRE_ID;
 use agossip_core::informed_list::InformedList;
-use agossip_core::{Rumor, RumorSet, SyncMessage, WireCodec, ADAPTIVE_SPARSE_LIMIT};
+use agossip_core::{
+    EarsMessage, Rumor, RumorSet, SyncMessage, WireCodec, WireDecodeView, ADAPTIVE_SPARSE_LIMIT,
+};
 use agossip_sim::ProcessId;
 
 /// Wide universe: so few of so many ids that a set stays sparse.
@@ -56,6 +62,10 @@ impl OracleInformedList {
         let before = self.pairs.len();
         self.pairs.extend(other.pairs.iter().copied());
         self.pairs.len() - before
+    }
+
+    fn is_superset_of(&self, other: &OracleInformedList) -> bool {
+        self.pairs.is_superset(&other.pairs)
     }
 
     fn uncovered_targets(&self, rumors: &BTreeRumorSet, n: usize) -> Vec<ProcessId> {
@@ -168,34 +178,103 @@ enum ListOp {
     InsertAll(Vec<usize>, usize),
     /// Union with a list built from these pairs.
     Union(Vec<(usize, usize)>),
+    /// `insert_all` of every origin's rumor, once per target: each row
+    /// gains the same targets, so a list whose rows all go dense switches
+    /// to its matrix form.
+    Flood(Vec<usize>),
+    /// `is_superset_of_view` and `union_view` of a decoded `ears` frame
+    /// whose list holds these pairs plus every origin flooded to these
+    /// targets (enough flooded targets make the section dense).
+    UnionView(Vec<(usize, usize)>, Vec<usize>),
+    /// One far pair — ids up to `MAX_WIRE_ID − 1` — inserted directly or
+    /// through a decoded frame: a matrix must go back to rows rather than
+    /// grow to reach it.
+    Far(usize, usize, bool),
 }
+
+/// The largest id a frame may carry.
+const FAR: usize = MAX_WIRE_ID as usize - 1;
 
 /// Origins from `0..origins`; targets from `0..origins` too or — half the
 /// time, per sequence — from the wide universe, where a row stays a short
-/// sorted id list instead of going dense at its second target.
+/// sorted id list instead of going dense at its second target. Flooded
+/// targets span two words, so a matrix also widens its stride. A sequence
+/// may end with a far-origin pair (`(2^20 − 1, ·)`): the list's rows then
+/// reach `2^20` origins, so it comes last, in one sequence of eight, and
+/// not under Miri (far targets already take a matrix back to rows there).
 fn list_ops_strategy(origins: usize) -> impl Strategy<Value = Vec<ListOp>> {
-    any::<bool>().prop_flat_map(move |wide| {
+    (any::<bool>(), 0..8usize).prop_flat_map(move |(wide, tail)| {
         let targets = if wide { WIDE_UNIVERSE } else { origins };
-        prop::collection::vec(list_op_strategy(origins, targets), 0..24)
+        (
+            prop::collection::vec(list_op_strategy(origins, targets), 0..24),
+            (FAR - 64..=FAR, any::<bool>()),
+        )
+            .prop_map(move |(mut ops, (t, via_frame))| {
+                if tail == 0 && !cfg!(miri) {
+                    ops.push(ListOp::Far(FAR, t, via_frame));
+                }
+                ops
+            })
     })
 }
 
 fn list_op_strategy(origins: usize, targets: usize) -> impl Strategy<Value = ListOp> {
     (
-        0..3usize,
+        0..7usize,
         (0..origins, 0..targets),
         prop::collection::vec(0..origins, 0..6),
         prop::collection::vec((0..origins, 0..targets), 0..16),
+        (prop::collection::vec(0..128usize, 0..8), any::<bool>()),
+        FAR - 64..=FAR,
     )
-        .prop_map(|(tag, (o, t), origins, pairs)| match tag {
-            0 => ListOp::Insert(o, t),
-            1 => ListOp::InsertAll(origins, t),
-            _ => ListOp::Union(pairs),
-        })
+        .prop_map(
+            |(tag, (o, t), origins, pairs, (flood, via_frame), far)| match tag {
+                0 => ListOp::Insert(o, t),
+                1 => ListOp::InsertAll(origins, t),
+                2 => ListOp::Union(pairs),
+                3 => ListOp::Flood(flood),
+                4 | 5 => ListOp::UnionView(pairs, flood),
+                // A far target in a narrow origin's row (a far origin is
+                // left to the sequence's tail).
+                _ => ListOp::Far(o, far, via_frame),
+            },
+        )
+}
+
+/// A list and its oracle twin holding the same pairs.
+fn list_pair(
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> (InformedList, OracleInformedList) {
+    let mut list = InformedList::new();
+    let mut oracle = OracleInformedList::default();
+    for (o, t) in pairs {
+        list.insert(ProcessId(o), ProcessId(t));
+        oracle.insert(ProcessId(o), ProcessId(t));
+    }
+    (list, oracle)
+}
+
+/// The encoded `ears` frame carrying `list` (and no rumors).
+fn ears_frame(list: InformedList) -> Vec<u8> {
+    EarsMessage {
+        rumors: Arc::new(RumorSet::new()),
+        informed: Arc::new(list),
+    }
+    .encode()
+}
+
+/// `default` cases per property, or `PROPTEST_CASES` when it is set (the
+/// nightly Miri job runs the informed-list driver on a handful of cases).
+fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(cases(128))]
 
     /// Arbitrary insert/union sequences drive the dense and tree-based rumor
     /// sets to identical observable states.
@@ -262,9 +341,11 @@ proptest! {
         }
     }
 
-    /// Arbitrary insert/insert_all/union sequences drive the dense and
-    /// tree-based informed-lists to identical observable states, including
-    /// the `L(p)` coverage queries `ears`/`sears` evaluate every step.
+    /// Arbitrary insert/insert_all/union sequences — with floods that turn
+    /// a list into its matrix form, unions of decoded frames, and far pairs
+    /// that turn it back into rows — drive the dense and tree-based
+    /// informed-lists to identical observable states, including the `L(p)`
+    /// coverage queries `ears`/`sears` evaluate every step.
     #[test]
     fn informed_list_matches_btreeset_oracle(
         ops in list_ops_strategy(48),
@@ -301,13 +382,59 @@ proptest! {
                     oracle.insert_all(&oracle_arg, ProcessId(t));
                 }
                 ListOp::Union(pairs) => {
-                    let mut dense_arg = InformedList::new();
-                    let mut oracle_arg = OracleInformedList::default();
-                    for (o, t) in pairs {
-                        dense_arg.insert(ProcessId(o), ProcessId(t));
-                        oracle_arg.insert(ProcessId(o), ProcessId(t));
-                    }
+                    let (dense_arg, oracle_arg) = list_pair(pairs);
+                    prop_assert_eq!(
+                        dense.is_superset_of(&dense_arg),
+                        oracle.is_superset_of(&oracle_arg)
+                    );
+                    prop_assert_eq!(
+                        dense_arg.is_superset_of(&dense),
+                        oracle_arg.is_superset_of(&oracle)
+                    );
                     prop_assert_eq!(dense.union(&dense_arg), oracle.union(&oracle_arg));
+                }
+                ListOp::Flood(targets) => {
+                    let mut dense_arg = RumorSet::new();
+                    let mut oracle_arg = BTreeRumorSet::default();
+                    for o in 0..n {
+                        dense_arg.insert(Rumor::new(ProcessId(o), 0));
+                        oracle_arg.insert(Rumor::new(ProcessId(o), 0));
+                    }
+                    for t in targets {
+                        dense.insert_all(&dense_arg, ProcessId(t));
+                        oracle.insert_all(&oracle_arg, ProcessId(t));
+                    }
+                }
+                ListOp::UnionView(pairs, flood) => {
+                    let flooded = flood.iter().flat_map(|&t| (0..n).map(move |o| (o, t)));
+                    let (dense_arg, oracle_arg) = list_pair(pairs.into_iter().chain(flooded));
+                    let frame = ears_frame(dense_arg);
+                    let view = EarsMessage::decode_view(&frame).unwrap().informed;
+                    prop_assert_eq!(
+                        dense.is_superset_of_view(&view),
+                        oracle.is_superset_of(&oracle_arg)
+                    );
+                    prop_assert_eq!(dense.union_view(&view), oracle.union(&oracle_arg));
+                }
+                ListOp::Far(o, t, via_frame) => {
+                    if via_frame {
+                        let (dense_arg, _) = list_pair([(o, t)]);
+                        let frame = ears_frame(dense_arg);
+                        let view = EarsMessage::decode_view(&frame).unwrap().informed;
+                        prop_assert_eq!(
+                            dense.is_superset_of_view(&view),
+                            oracle.contains(ProcessId(o), ProcessId(t))
+                        );
+                        prop_assert_eq!(
+                            dense.union_view(&view),
+                            usize::from(oracle.insert(ProcessId(o), ProcessId(t)))
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            dense.insert(ProcessId(o), ProcessId(t)),
+                            oracle.insert(ProcessId(o), ProcessId(t))
+                        );
+                    }
                 }
             }
             prop_assert_eq!(dense.len(), oracle.pairs.len());
