@@ -15,9 +15,13 @@
 //!   `VmHWM` after the trial;
 //! * `peak_in_flight` / `in_flight_entry_bytes` / `peak_queue_mib` — the
 //!   most messages in flight at any step boundary (what the adversary's
-//!   [`SystemView`] reports), the bytes one of them occupies in the network
-//!   (its payload, send time, and 32-bit sender and delay), and their
-//!   product: the network queue's share of the peak RSS.
+//!   [`SystemView`] reports), the bytes of one network record (its payload,
+//!   send time, a 32-bit word packing the sender with a copy count, and a
+//!   32-bit delay), and their product: an upper bound on the network
+//!   queue's share of the peak RSS, not the share itself. The network keeps
+//!   a sender's value-identical copies of one payload to one destination in
+//!   one step as one record per delay, so the queue holds at most
+//!   `peak_in_flight` records.
 //!
 //! Sizes run in ascending order so each `VmHWM` reading is dominated by its
 //! own trial. Every trial is asserted checker-verified (majority gathering,
@@ -140,6 +144,8 @@ fn main() {
         );
         let steps = report.time_steps().expect("a verified trial is quiescent");
         let rss = peak_rss_mib().unwrap_or(-1.0);
+        // One record per message in flight: the queue's size at most, since
+        // a record may stand for several copies (see the module docs).
         let entry_bytes = size_of::<TearsMessage>() + size_of::<TimeStep>() + 2 * size_of::<u32>();
         let peak = adversary.peak;
         println!(

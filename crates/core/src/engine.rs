@@ -132,7 +132,14 @@ impl EncodedFrame for (ProcessId, Vec<u8>) {
 /// A gossip protocol instance for one process.
 pub trait GossipEngine {
     /// The wire message exchanged by this protocol.
-    type Msg: Clone + fmt::Debug;
+    ///
+    /// `PartialEq` because the simulator runs an engine as a
+    /// [`Process`](agossip_sim::Process) with `Message = Msg`: its network
+    /// keeps a sender's equal copies of one message to one destination in
+    /// one step as one record, so `==` must hold only between messages a
+    /// receiver cannot tell apart. A payload behind an `Arc` of an `Eq`
+    /// type compares in O(1) when both sides share the allocation.
+    type Msg: Clone + fmt::Debug + PartialEq;
 
     /// Incorporates a message received from `from`.
     ///

@@ -145,9 +145,10 @@ pub fn default_policy() -> Policy {
             ],
             &[],
         ),
-        // (4) Narrowing in codec/wire code — and in the informed-list's
-        // matrix, which indexes by frame-supplied ids — goes through
-        // try_from.
+        // (4) Narrowing in codec/wire code — in the informed-list's
+        // matrix, which indexes by frame-supplied ids, and in the
+        // network's in-flight records, which pack a sender and a copy count
+        // into 32 bits — goes through try_from.
         entry(
             RuleId::NoUncheckedNarrowing,
             &[
@@ -156,6 +157,7 @@ pub fn default_policy() -> Policy {
                 "crates/core/src/informed_list.rs",
                 "crates/core/src/wire.rs",
                 "crates/runtime/src/transport.rs",
+                "crates/sim/src/network.rs",
             ],
             &[],
         ),
@@ -248,6 +250,12 @@ mod tests {
                 "{sim_path} carries every simulated message and must not panic"
             );
         }
+
+        let network = policy.rules_for("crates/sim/src/network.rs");
+        assert!(
+            network.contains(&RuleId::NoUncheckedNarrowing),
+            "the in-flight record packs a sender and a copy count into 32 bits"
+        );
 
         let sim_test = policy.rules_for("crates/sim/tests/network_differential.rs");
         assert!(!sim_test.contains(&RuleId::NoNondeterministicCollections));

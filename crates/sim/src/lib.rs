@@ -35,7 +35,9 @@
 //!   (see [`SimConfig::idle_fast_forward`]).
 //! * [`Network`] — the in-flight buffer: per destination, the messages in
 //!   send order and their earliest deadline, so a destination with nothing
-//!   due is skipped and a due batch leaves in one pass.
+//!   due is skipped and a due batch leaves in one pass. A sender's
+//!   value-identical copies of one payload in one step share a record per
+//!   delay.
 //! * [`adversary`] — the adversary trait plus a family of oblivious
 //!   schedule/delay/crash policies.
 //! * [`metrics`] — message, step, delay and quiescence accounting; these are

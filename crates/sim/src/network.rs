@@ -19,11 +19,27 @@
 //! earliest-deadline check.
 //!
 //! A queued message is a compact record, not an [`Envelope`]: the queue
-//! already names the destination, so it keeps the payload, `sent_at`, and
-//! the sender and the delay as `u32` each — 32 bytes for a `tears` message.
-//! The deadline is recomputed from `sent_at + delay` when a pass looks at
-//! it, and a delivery rebuilds the envelope.
+//! already names the destination, so it keeps the payload, `sent_at`, the
+//! delay as a `u32`, and one `u32` packing the sender with a copy count —
+//! 32 bytes for a `tears` message. The deadline is recomputed from
+//! `sent_at + delay` when a pass looks at it, and a delivery rebuilds the
+//! envelopes.
+//!
+//! A record stands for `c ≥ 1` value-identical messages: the same sender,
+//! `sent_at`, delay and an equal payload. `tears` ships its unchanged `V` to
+//! the same member of `Π2` once per trigger it reaches, dozens of times in
+//! one local step, so [`Network::send`] merges a message into an earlier
+//! record of its destination's queue when that record matches it, has room
+//! for one more copy, and every record from it to the tail holds the same
+//! sender, `sent_at` and an equal payload (the delays may differ). Such a
+//! run of records holds only envelopes equal to the new one, so the merge
+//! only reorders equal values: every delivered batch is the same sequence of
+//! values, in the same order, as with one record per message. A collection
+//! expands a record into its copies; [`Network::in_flight`],
+//! [`Network::pending_for`], [`Network::drop_for`] and
+//! [`Network::clone_pending_for`] count and list messages, not records.
 
+use crate::config::MAX_PROCESSES;
 use crate::message::Envelope;
 use crate::process::ProcessId;
 use crate::time::TimeStep;
@@ -31,18 +47,32 @@ use crate::time::TimeStep;
 /// The delay recorded for a message withheld for the rest of the execution.
 const WITHHELD: u32 = u32::MAX;
 
-/// A message waiting in the network.
+/// The low bits of a record's `from` word that hold the sender: enough for
+/// every process index the simulator admits ([`MAX_PROCESSES`] = 2^20).
+const SENDER_BITS: u32 = MAX_PROCESSES.trailing_zeros();
+
+/// The sender bits of a record's `from` word; the bits above hold
+/// `copies - 1`.
+const SENDER_MASK: u32 = (1 << SENDER_BITS) - 1;
+
+/// The most messages one record stands for: `copies - 1` fills the 12 bits
+/// above the sender.
+const MAX_COPIES: u32 = 1 << (u32::BITS - SENDER_BITS);
+
+/// `c` value-identical messages waiting in the network.
 ///
 /// The destination is the queue that holds the record, so it keeps only
-/// what a delivery rebuilds the [`Envelope`] from, with the sender and the
-/// delay in 32 bits each: 32 bytes for a 16-byte payload. Both fit by
-/// construction:
-/// [`SimConfig`](crate::SimConfig) caps `n` at 2^20 and `d` below
-/// `u32::MAX`.
+/// what a delivery rebuilds the [`Envelope`]s from, with the sender and the
+/// copy count packed in one `u32` and the delay in another: 32 bytes for a
+/// 16-byte payload. The delay fits by construction
+/// ([`SimConfig`](crate::SimConfig) caps `d` below `u32::MAX`), and so does
+/// a sender below [`MAX_PROCESSES`]; a count that would not fit starts a
+/// new record.
 #[derive(Debug, Clone)]
 struct InFlight<M> {
     payload: M,
     sent_at: TimeStep,
+    /// The sender in the low [`SENDER_BITS`] bits, `copies - 1` above them.
     from: u32,
     /// Steps from `sent_at` to delivery, or [`WITHHELD`].
     delay: u32,
@@ -52,22 +82,54 @@ impl<M> InFlight<M> {
     /// The message becomes deliverable at any scheduled step of the
     /// recipient occurring at time `>=` this.
     fn deliverable_at(&self) -> TimeStep {
-        if self.delay == WITHHELD {
-            TimeStep(u64::MAX)
-        } else {
-            self.sent_at.after(u64::from(self.delay))
-        }
+        deadline(self.sent_at, self.delay)
     }
 
-    /// The envelope this record was sent as, addressed to `to`.
-    fn into_envelope(self, to: ProcessId) -> Envelope<M> {
-        Envelope {
-            from: ProcessId(self.from as usize),
+    /// The sender's index.
+    fn sender(&self) -> u32 {
+        self.from & SENDER_MASK
+    }
+
+    /// How many messages this record stands for.
+    fn copies(&self) -> u32 {
+        (self.from >> SENDER_BITS) + 1
+    }
+
+    /// Appends the `copies` envelopes this record was sent as, addressed to
+    /// `to`, onto `out`.
+    fn expand_into(self, to: ProcessId, out: &mut Vec<Envelope<M>>)
+    where
+        M: Clone,
+    {
+        let copies = self.copies();
+        let envelope = Envelope {
+            from: ProcessId(usize::try_from(self.sender()).unwrap_or(usize::MAX)),
             to,
             sent_at: self.sent_at,
             payload: self.payload,
+        };
+        for _ in 1..copies {
+            out.push(envelope.clone());
         }
+        out.push(envelope);
     }
+}
+
+/// The deadline of a message sent at `sent_at` with the recorded `delay`.
+fn deadline(sent_at: TimeStep, delay: u32) -> TimeStep {
+    if delay == WITHHELD {
+        TimeStep(u64::MAX)
+    } else {
+        sent_at.after(u64::from(delay))
+    }
+}
+
+/// The number of messages `records` stand for.
+fn messages_in<M>(records: &[InFlight<M>]) -> usize {
+    records
+        .iter()
+        .map(|m| usize::try_from(m.copies()).unwrap_or(usize::MAX))
+        .sum()
 }
 
 /// The messages in flight to one destination.
@@ -119,7 +181,18 @@ impl<M> Network<M> {
     /// accounting, which is done by the caller. Delays are kept in 32 bits,
     /// so any `delay >= u32::MAX` withholds the message too; the model's
     /// delays never reach that (`SimConfig` rejects `d >= u32::MAX`).
-    pub fn send(&mut self, envelope: Envelope<M>, delay: u64) {
+    ///
+    /// The sender must be below [`MAX_PROCESSES`], like every process index
+    /// the simulator admits: the record keeps it in 20 bits. Debug builds
+    /// check it; a release build records a larger sender as
+    /// `MAX_PROCESSES - 1`, in a record of its own. Payloads are compared
+    /// with `==` to share a record between value-identical copies (see the
+    /// module docs), so `==` must hold only between payloads a recipient
+    /// cannot tell apart.
+    pub fn send(&mut self, envelope: Envelope<M>, delay: u64)
+    where
+        M: PartialEq,
+    {
         let Envelope {
             from,
             to,
@@ -131,6 +204,11 @@ impl<M> Network<M> {
 
     /// [`Self::send`] without building the envelope: what the scheduler
     /// calls for every entry of a step's send log.
+    ///
+    /// Merges the message into the nearest record, walking back from the
+    /// tail over records of the same sender, `sent_at` and an equal
+    /// payload, whose delay equals this message's and whose count has room;
+    /// otherwise appends a new record.
     pub(crate) fn push(
         &mut self,
         from: ProcessId,
@@ -138,19 +216,40 @@ impl<M> Network<M> {
         sent_at: TimeStep,
         payload: M,
         delay: u64,
-    ) {
+    ) where
+        M: PartialEq,
+    {
         debug_assert!(to.index() < self.queues.len(), "destination out of range");
-        debug_assert!(u32::try_from(from.index()).is_ok(), "sender out of range");
-        let message = InFlight {
+        debug_assert!(from.index() < MAX_PROCESSES, "sender out of range");
+        let delay = u32::try_from(delay).unwrap_or(WITHHELD);
+        let queue = &mut self.queues[to.index()];
+        queue.earliest = earliest_with(queue.earliest, deadline(sent_at, delay));
+        self.in_flight += 1;
+        // A sender that does not fit the sender bits is saturated, never
+        // wrapped, and never shares a record.
+        let sender = u32::try_from(from.index())
+            .ok()
+            .filter(|&s| s <= SENDER_MASK);
+        if let Some(sender) = sender {
+            for record in queue.pending.iter_mut().rev() {
+                if record.sender() != sender
+                    || record.sent_at != sent_at
+                    || record.payload != payload
+                {
+                    break;
+                }
+                if record.delay == delay && record.copies() < MAX_COPIES {
+                    record.from += 1 << SENDER_BITS;
+                    return;
+                }
+            }
+        }
+        queue.pending.push(InFlight {
             payload,
             sent_at,
-            from: u32::try_from(from.index()).unwrap_or(u32::MAX),
-            delay: u32::try_from(delay).unwrap_or(WITHHELD),
-        };
-        let queue = &mut self.queues[to.index()];
-        queue.earliest = earliest_with(queue.earliest, message.deliverable_at());
-        queue.pending.push(message);
-        self.in_flight += 1;
+            from: sender.unwrap_or(SENDER_MASK),
+            delay,
+        });
     }
 
     /// Removes and returns every message addressed to `to` whose delivery
@@ -158,14 +257,18 @@ impl<M> Network<M> {
     ///
     /// Convenience wrapper around [`Self::collect_deliverable_into`] for
     /// callers that do not reuse a buffer.
-    pub fn collect_deliverable(&mut self, to: ProcessId, now: TimeStep) -> Vec<Envelope<M>> {
+    pub fn collect_deliverable(&mut self, to: ProcessId, now: TimeStep) -> Vec<Envelope<M>>
+    where
+        M: Clone,
+    {
         let mut delivered = Vec::new();
         self.collect_deliverable_into(to, now, &mut delivered);
         delivered
     }
 
     /// Appends every message addressed to `to` whose delivery deadline has
-    /// been reached at time `now` onto `out`, in send order.
+    /// been reached at time `now` onto `out`, in send order: a record of
+    /// `c` copies becomes `c` envelopes.
     ///
     /// When the earliest deadline for `to` is still in the future this
     /// returns without moving (or allocating) anything.
@@ -174,12 +277,14 @@ impl<M> Network<M> {
         to: ProcessId,
         now: TimeStep,
         out: &mut Vec<Envelope<M>>,
-    ) {
+    ) where
+        M: Clone,
+    {
         let queue = &mut self.queues[to.index()];
         if queue.earliest.is_none_or(|e| e > now) {
             return;
         }
-        let before = queue.pending.len();
+        let before = out.len();
         let mut earliest = None;
         let due = queue.pending.extract_if(.., |m| {
             let at = m.deliverable_at();
@@ -189,16 +294,18 @@ impl<M> Network<M> {
             }
             due
         });
-        out.extend(due.map(|m| m.into_envelope(to)));
+        for m in due {
+            m.expand_into(to, out);
+        }
         queue.earliest = earliest;
-        self.in_flight -= before - queue.pending.len();
+        self.in_flight -= out.len() - before;
     }
 
     /// Discards every message addressed to `to` (used when `to` crashes).
     /// Returns the number of messages dropped.
     pub fn drop_for(&mut self, to: ProcessId) -> usize {
         let queue = &mut self.queues[to.index()];
-        let dropped = queue.pending.len();
+        let dropped = messages_in(&queue.pending);
         queue.pending.clear();
         queue.earliest = None;
         self.in_flight -= dropped;
@@ -212,7 +319,7 @@ impl<M> Network<M> {
 
     /// Number of messages currently queued for `to`.
     pub fn pending_for(&self, to: ProcessId) -> usize {
-        self.queues[to.index()].pending.len()
+        messages_in(&self.queues[to.index()].pending)
     }
 
     /// Earliest time at which any message queued for `to` becomes
@@ -236,16 +343,18 @@ impl<M> Network<M> {
     }
 
     /// Clones every message currently queued for `to` (regardless of
-    /// delivery deadline), in send order.
+    /// delivery deadline), in send order: a record of `c` copies lists `c`
+    /// envelopes.
     pub fn clone_pending_for(&self, to: ProcessId) -> Vec<Envelope<M>>
     where
         M: Clone,
     {
         let pending = &self.queues[to.index()].pending;
-        pending
-            .iter()
-            .map(|m| m.clone().into_envelope(to))
-            .collect()
+        let mut out = Vec::with_capacity(messages_in(pending));
+        for m in pending {
+            m.clone().expand_into(to, &mut out);
+        }
+        out
     }
 
     /// True if every in-flight message has a delivery deadline of
@@ -254,6 +363,12 @@ impl<M> Network<M> {
     /// messages as drained.
     pub fn all_beyond(&self, horizon: TimeStep) -> bool {
         self.earliest_deliverable().is_none_or(|e| e > horizon)
+    }
+
+    /// Number of records queued for `to`.
+    #[cfg(test)]
+    fn records_for(&self, to: ProcessId) -> usize {
+        self.queues[to.index()].pending.len()
     }
 }
 
@@ -461,6 +576,92 @@ mod tests {
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(u64::MAX)));
         assert!(net.all_beyond(TimeStep(u64::MAX - 1)));
         assert_eq!(net.pending_for(ProcessId(1)), 2);
+    }
+
+    #[test]
+    fn identical_sends_in_one_step_take_one_record_per_delay() {
+        // 40 copies of one payload from one sender in one step, delays
+        // cycling through 1, 2, 3 and a withheld one: four records.
+        let mut net: Network<u32> = Network::new(3);
+        let delays = [1, 2, 3, u64::MAX];
+        for i in 0..40 {
+            net.send(env(0, 1, 5, 7), delays[i % delays.len()]);
+        }
+        assert!(net.records_for(ProcessId(1)) <= delays.len());
+        assert_eq!(net.in_flight(), 40);
+        assert_eq!(net.pending_for(ProcessId(1)), 40);
+        assert_eq!(
+            net.clone_pending_for(ProcessId(1)),
+            vec![env(0, 1, 5, 7); 40]
+        );
+        // Each collection hands out every due copy, and only those.
+        assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(6)).len(), 10);
+        assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(8)).len(), 20);
+        assert_eq!(net.in_flight(), 10);
+        assert_eq!(net.earliest_deliverable(), Some(TimeStep(u64::MAX)));
+        assert_eq!(net.drop_for(ProcessId(1)), 10);
+        assert!(net.is_empty());
+    }
+
+    #[test]
+    fn a_run_past_the_copy_cap_starts_a_new_record() {
+        let mut net: Network<u32> = Network::new(2);
+        let run = MAX_COPIES as usize + 3;
+        for _ in 0..run {
+            net.send(env(0, 1, 0, 7), 1);
+        }
+        assert_eq!(net.records_for(ProcessId(1)), 2);
+        assert_eq!(net.pending_for(ProcessId(1)), run);
+        // The full record keeps the sender intact: the count never spills
+        // into the sender bits.
+        let got = net.collect_deliverable(ProcessId(1), TimeStep(1));
+        assert_eq!(got, vec![env(0, 1, 0, 7); run]);
+        assert!(net.is_empty());
+    }
+
+    #[test]
+    fn a_merge_never_crosses_another_payload_or_sender() {
+        let mut net: Network<u32> = Network::new(4);
+        // Another payload from the same sender inside the run.
+        net.send(env(0, 1, 0, 7), 2);
+        net.send(env(0, 1, 0, 8), 2);
+        net.send(env(0, 1, 0, 7), 2);
+        assert_eq!(net.records_for(ProcessId(1)), 3);
+        // Another sender's copy of the same payload inside the run.
+        net.send(env(0, 2, 0, 7), 2);
+        net.send(env(3, 2, 0, 7), 2);
+        net.send(env(0, 2, 0, 7), 2);
+        assert_eq!(net.records_for(ProcessId(2)), 3);
+        // A later step's copy of the same payload from the same sender.
+        net.send(env(0, 3, 0, 7), 2);
+        net.send(env(0, 3, 1, 7), 1);
+        assert_eq!(net.records_for(ProcessId(3)), 2);
+        let payloads = |got: Vec<Envelope<u32>>| -> Vec<(usize, u32)> {
+            got.iter().map(|e| (e.from.index(), e.payload)).collect()
+        };
+        assert_eq!(
+            payloads(net.collect_deliverable(ProcessId(1), TimeStep(2))),
+            vec![(0, 7), (0, 8), (0, 7)]
+        );
+        assert_eq!(
+            payloads(net.collect_deliverable(ProcessId(2), TimeStep(2))),
+            vec![(0, 7), (3, 7), (0, 7)]
+        );
+        let got = net.collect_deliverable(ProcessId(3), TimeStep(2));
+        assert_eq!(got, vec![env(0, 3, 0, 7), env(0, 3, 1, 7)]);
+    }
+
+    #[test]
+    fn a_merge_reaches_past_other_delays_of_the_same_run() {
+        // Delays 2, 1, 2: the third copy joins the first record across the
+        // second, which holds an equal envelope.
+        let mut net: Network<u32> = Network::new(2);
+        net.send(env(0, 1, 0, 7), 2);
+        net.send(env(0, 1, 0, 7), 1);
+        net.send(env(0, 1, 0, 7), 2);
+        assert_eq!(net.records_for(ProcessId(1)), 2);
+        assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(1)).len(), 1);
+        assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(2)).len(), 2);
     }
 
     #[test]

@@ -80,7 +80,12 @@ impl ProcessStatus {
 /// pushing them into the [`Outbox`].
 pub trait Process {
     /// The message payload exchanged by this protocol.
-    type Message: Clone + fmt::Debug;
+    ///
+    /// `PartialEq` lets the network keep a sender's value-identical copies
+    /// of one payload, sent to one destination in one step, as one record
+    /// with a copy count (see [`crate::Network`]); `==` must therefore hold
+    /// only between payloads a recipient cannot tell apart.
+    type Message: Clone + fmt::Debug + PartialEq;
 
     /// Executes one local step at time `now`.
     ///

@@ -7,7 +7,10 @@
 //!
 //! * `network_matches_reference_model` drives the network and the model
 //!   through the same operation sequence and compares every delivered batch
-//!   (content *and* order), plus every observable query.
+//!   (content *and* order), plus every observable query. The sequence
+//!   includes runs of one sender's repeated payload to one destination in
+//!   one step, which the network shares between records with a copy count
+//!   while the model keeps one entry per message.
 //! * `earliest_is_exact_after_every_partial_collection` and
 //!   `long_unscheduled_destination_gets_one_batch_in_send_order` aim the same
 //!   comparison at the two cases a collection pass must get right: keeping
@@ -122,11 +125,56 @@ impl<M> ReferenceNetwork<M> {
     }
 }
 
+/// Every observable query of `network` agrees with the model's at `now`.
+fn observables_agree(network: &Network<u64>, model: &ReferenceNetwork<u64>, now: TimeStep) {
+    assert_eq!(network.in_flight(), model.in_flight);
+    for pid in ProcessId::all(network.n()) {
+        assert_eq!(
+            network.earliest_deliverable_for(pid),
+            model.earliest_deliverable_for(pid)
+        );
+        assert_eq!(network.pending_for(pid), model.queues[pid.index()].len());
+        assert_eq!(
+            network.clone_pending_for(pid),
+            model.queues[pid.index()]
+                .iter()
+                .map(|(env, _)| env.clone())
+                .collect::<Vec<_>>(),
+            "pending order diverged"
+        );
+    }
+    assert_eq!(network.all_beyond(now), model.all_beyond(now));
+    assert_eq!(
+        network.earliest_deliverable(),
+        model.earliest_deliverable(),
+        "network-wide earliest deadline diverged"
+    );
+}
+
+/// A delay in `[1, d]`, or withheld one time in ten.
+fn draw_delay(prng: &mut Prng, d: u64) -> u64 {
+    if prng.chance(10) {
+        u64::MAX
+    } else {
+        1 + prng.below(d)
+    }
+}
+
 proptest! {
     #![proptest_config(cases(64))]
 
     /// Same operation sequence in, same observations out — including the
     /// order of every delivered batch.
+    ///
+    /// Besides single sends of fresh payloads, the sequence holds runs of
+    /// repeated payloads — one sender's copies of one payload to one
+    /// destination in one step, with mixed delays, withheld ones included —
+    /// which the network keeps as one record per delay with a copy count.
+    /// A run may interleave another payload of the same sender or another
+    /// sender's copy of the same payload, may see a collection or a
+    /// crash-drop of its destination midway, and may repeat an earlier
+    /// step's run; the observables are compared after every send of the
+    /// run.
     #[test]
     fn network_matches_reference_model(
         n_base in 2usize..8,
@@ -143,32 +191,73 @@ proptest! {
         let mut model: ReferenceNetwork<u64> = ReferenceNetwork::new(n);
         let mut now = TimeStep::ZERO;
         let mut next_payload = 0u64;
+        let mut last_run = None;
 
         for _ in 0..ops {
-            match prng.below(10) {
+            match prng.below(12) {
                 // Send (most common): random pair, delay in [1, d] or withheld.
                 0..=5 => {
                     let from = ProcessId(prng.below(n as u64) as usize);
                     let to = ProcessId(prng.below(n as u64) as usize);
-                    let delay = if prng.chance(10) {
-                        u64::MAX
-                    } else {
-                        1 + prng.below(d)
-                    };
+                    let delay = draw_delay(&mut prng, d);
                     let env = Envelope { from, to, sent_at: now, payload: next_payload };
                     next_payload += 1;
                     network.send(env.clone(), delay);
                     model.send(env, delay);
                 }
-                // Collect for a random destination.
+                // A run of repeated payloads: one sender, one destination,
+                // one step.
                 6..=7 => {
+                    // Often the previous run again, so equal payloads from
+                    // one sender also meet across steps.
+                    let (from, to, repeated) = match last_run {
+                        Some(run) if prng.chance(40) => run,
+                        _ => {
+                            next_payload += 1;
+                            (
+                                ProcessId(prng.below(n as u64) as usize),
+                                ProcessId(prng.below(n as u64) as usize),
+                                next_payload - 1,
+                            )
+                        }
+                    };
+                    last_run = Some((from, to, repeated));
+                    for _ in 0..2 + prng.below(12) {
+                        let roll = prng.below(20);
+                        if roll == 0 {
+                            let got = network.collect_deliverable(to, now);
+                            let expected = model.collect_deliverable(to, now);
+                            prop_assert_eq!(got, expected, "batch diverged mid-run");
+                        } else if roll == 1 {
+                            prop_assert_eq!(network.drop_for(to), model.drop_for(to));
+                        } else {
+                            let (sender, payload) = match roll {
+                                // Another payload of the same sender.
+                                2..=3 => {
+                                    next_payload += 1;
+                                    (from, next_payload - 1)
+                                }
+                                // Another sender's copy of the same payload.
+                                4 => (ProcessId(prng.below(n as u64) as usize), repeated),
+                                _ => (from, repeated),
+                            };
+                            let delay = draw_delay(&mut prng, d);
+                            let env = Envelope { from: sender, to, sent_at: now, payload };
+                            network.send(env.clone(), delay);
+                            model.send(env, delay);
+                        }
+                        observables_agree(&network, &model, now);
+                    }
+                }
+                // Collect for a random destination.
+                8..=9 => {
                     let to = ProcessId(prng.below(n as u64) as usize);
                     let got = network.collect_deliverable(to, now);
                     let expected = model.collect_deliverable(to, now);
                     prop_assert_eq!(got, expected, "delivered batch diverged");
                 }
                 // Crash: drop a random destination's queue.
-                8 => {
+                10 => {
                     let to = ProcessId(prng.below(n as u64) as usize);
                     prop_assert_eq!(network.drop_for(to), model.drop_for(to));
                 }
@@ -179,31 +268,7 @@ proptest! {
             }
 
             // Observables agree after every operation.
-            prop_assert_eq!(network.in_flight(), model.in_flight);
-            for pid in ProcessId::all(n) {
-                prop_assert_eq!(
-                    network.earliest_deliverable_for(pid),
-                    model.earliest_deliverable_for(pid)
-                );
-                prop_assert_eq!(
-                    network.pending_for(pid),
-                    model.queues[pid.index()].len()
-                );
-                prop_assert_eq!(
-                    network.clone_pending_for(pid),
-                    model.queues[pid.index()]
-                        .iter()
-                        .map(|(env, _)| env.clone())
-                        .collect::<Vec<_>>(),
-                    "pending order diverged"
-                );
-            }
-            prop_assert_eq!(network.all_beyond(now), model.all_beyond(now));
-            prop_assert_eq!(
-                network.earliest_deliverable(),
-                model.earliest_deliverable(),
-                "network-wide earliest deadline diverged"
-            );
+            observables_agree(&network, &model, now);
         }
 
         // Drain everything still deliverable and compare the final batches.

@@ -473,6 +473,41 @@ fn tears_n128_trial_peak_live_bytes_stay_under_128_mib() {
     );
 }
 
+#[test]
+fn tears_n128_in_flight_copies_share_a_record() {
+    // The copy-count pin. At the paper's constants every first-level
+    // arrival at a tears n = 128 process is a trigger, so a process ships
+    // its unchanged `V` to the same member of `Π2` about 42 times in one
+    // local step. The network keeps those copies as one record per delay
+    // with a copy count, so the messages in flight at once no longer cost a
+    // record each. Measured 34 MiB; with one 32-byte record per message
+    // the same trial peaked at 96 MiB.
+    let scale = ExperimentScale::default();
+    let kind = TrialProtocol::Gossip(GossipProtocolKind::Tears);
+    let spec = ScenarioSpec::from_scale(kind, &scale, 128);
+
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let floor = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(floor, Ordering::Relaxed);
+    let report = spec.run_trial(0).unwrap();
+    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed) - floor;
+    drop(window);
+
+    assert!(report.ok);
+    assert!(
+        report.messages > 2_000_000,
+        "got {} messages",
+        report.messages
+    );
+    eprintln!("peak live bytes: {peak}, messages: {}", report.messages);
+    assert!(
+        peak < 48 << 20,
+        "a tears n=128 trial must share one in-flight record between a \
+         sender's copies, peaking below 48 MiB of live heap, got {} MiB",
+        peak >> 20
+    );
+}
+
 /// A gossip engine that sends one message to every other process on every
 /// step and never collects a majority, so a consensus participant over it
 /// stays in its first exchange and steps without allocating anything of its
