@@ -64,7 +64,7 @@ where
 {
     let mut clone = engine.clone();
     for env in pending {
-        clone.deliver(env.from, env.payload.clone());
+        clone.deliver_copies(env.from, env.payload.clone(), env.copies);
     }
     let mut messages_sent = 0u64;
     let mut contacted = BTreeSet::new();
@@ -147,6 +147,7 @@ mod tests {
                 rumors: std::sync::Arc::new(other.rumors().clone()),
                 informed: std::sync::Arc::new(other.informed().clone()),
             },
+            copies: 1,
         }];
         let probe = probe_isolated(&engine, &pending, 4);
         assert_eq!(probe.pid, ProcessId(0));

@@ -22,6 +22,10 @@
 //!   a sender's value-identical copies of one payload to one destination in
 //!   one step as one record per delay, so the queue holds at most
 //!   `peak_in_flight` records.
+//! * `messages_per_delivery` — delivered messages per delivery handed to a
+//!   local step ([`Metrics::deliveries`](agossip_sim::Metrics::deliveries)):
+//!   how many identical copies one network record carried on average; 1
+//!   when no record is shared.
 //!
 //! Sizes run in ascending order so each `VmHWM` reading is dominated by its
 //! own trial. Every trial is asserted checker-verified (majority gathering,
@@ -155,13 +159,16 @@ fn main() {
              \"messages\": {messages}, \"messages_per_sec\": {mps:.0}, \
              \"peak_rss_mib\": {rss:.0}, \"peak_in_flight\": {peak}, \
              \"in_flight_entry_bytes\": {entry_bytes}, \
-             \"peak_queue_mib\": {queue_mib:.0}, \"checker_ok\": true}}",
+             \"peak_queue_mib\": {queue_mib:.0}, \
+             \"messages_per_delivery\": {per_delivery:.2}, \"checker_ok\": true}}",
             a = params.a(n),
             d = scale.d,
             steps_per_sec = steps as f64 / secs,
             messages = report.messages(),
             mps = report.messages() as f64 / secs,
             queue_mib = (peak * entry_bytes) as f64 / (1024.0 * 1024.0),
+            per_delivery =
+                report.metrics.messages_delivered as f64 / report.metrics.deliveries.max(1) as f64,
         );
     }
 }

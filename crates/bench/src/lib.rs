@@ -212,7 +212,7 @@ pub mod hotloop {
             inbox: &mut Vec<Envelope<Self::Message>>,
             out: &mut Outbox<Self::Message>,
         ) {
-            self.received += inbox.len() as u64;
+            self.received += inbox.iter().map(|env| u64::from(env.copies)).sum::<u64>();
             inbox.clear();
             self.round += 1;
             let target = ProcessId((self.id.index() + self.round as usize) % self.n);

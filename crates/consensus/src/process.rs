@@ -365,7 +365,12 @@ where
         out: &mut Outbox<Self::Message>,
     ) {
         for env in inbox.drain(..) {
-            self.handle_message(env.from, env.payload);
+            for _ in 1..env.copies {
+                self.handle_message(env.from, env.payload.clone());
+            }
+            if env.copies > 0 {
+                self.handle_message(env.from, env.payload);
+            }
         }
         out.append_with(|sends| self.take_local_step(sends));
     }

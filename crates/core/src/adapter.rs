@@ -8,9 +8,10 @@ use crate::engine::GossipEngine;
 /// [`agossip_sim::Simulation`].
 ///
 /// One simulator local step maps onto the paper's step structure: first every
-/// message delivered at this step is handed to [`GossipEngine::deliver`],
-/// then [`GossipEngine::local_step`] computes and appends the step's sends
-/// straight to the simulator's send log ([`Outbox::append_with`]).
+/// record delivered at this step is handed to
+/// [`GossipEngine::deliver_copies`] with its copy count, then
+/// [`GossipEngine::local_step_into`] computes and appends the step's sends
+/// straight to the simulator's send log.
 #[derive(Debug, Clone)]
 pub struct SimGossip<G: GossipEngine> {
     engine: G,
@@ -64,18 +65,16 @@ impl<G: GossipEngine> Process for SimGossip<G> {
         out: &mut Outbox<Self::Message>,
     ) {
         for env in inbox.drain(..) {
-            self.units_received += G::msg_units(&env.payload);
-            self.engine.deliver(env.from, env.payload);
+            self.units_received += G::msg_units(&env.payload) * u64::from(env.copies);
+            self.engine
+                .deliver_copies(env.from, env.payload, env.copies);
         }
         // The engine appends straight into the step's send log.
-        let (engine, units_sent) = (&mut self.engine, &mut self.units_sent);
-        out.append_with(|sends| {
-            let tail = sends.len();
-            engine.local_step(sends);
-            for (_, msg) in &sends[tail..] {
-                *units_sent += G::msg_units(msg);
-            }
-        });
+        let tail = out.sends().len();
+        self.engine.local_step_into(out);
+        for (_, msg, copies) in out.counted_sends().skip(tail) {
+            self.units_sent += G::msg_units(msg) * u64::from(copies);
+        }
     }
 
     fn is_quiescent(&self) -> bool {
@@ -113,6 +112,7 @@ mod tests {
             payload: crate::trivial::TrivialMessage {
                 rumor: crate::rumor::Rumor::new(ProcessId(2), 2),
             },
+            copies: 1,
         };
         let mut out = Outbox::new();
         wrapped.on_step(TimeStep(1), &mut vec![incoming], &mut out);
@@ -135,6 +135,7 @@ mod tests {
             payload: crate::trivial::TrivialMessage {
                 rumor: crate::rumor::Rumor::new(ProcessId(1), 1),
             },
+            copies: 1,
         };
         wrapped.on_step(TimeStep(1), &mut vec![incoming], &mut out);
         assert_eq!(wrapped.units_received(), 2);

@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use agossip_sim::ProcessId;
+use agossip_sim::{Outbox, ProcessId};
 
 use crate::rumor::{Rumor, RumorSet};
 
@@ -148,6 +148,23 @@ pub trait GossipEngine {
     /// that step.
     fn deliver(&mut self, from: ProcessId, msg: Self::Msg);
 
+    /// Incorporates `copies` identical messages received from `from`, in a
+    /// row: what the simulator calls once per network record (see
+    /// [`agossip_sim::Envelope::copies`]).
+    ///
+    /// The default makes `copies` calls of [`GossipEngine::deliver`]. An
+    /// override must leave exactly the state those calls leave; `tears`
+    /// counts the flag `copies` times and merges the set once.
+    fn deliver_copies(&mut self, from: ProcessId, msg: Self::Msg, copies: u32) {
+        if copies == 0 {
+            return;
+        }
+        for _ in 1..copies {
+            self.deliver(from, msg.clone());
+        }
+        self.deliver(from, msg);
+    }
+
     /// Delivers a batch of encoded frame bodies, all due at the same
     /// instant, in order. Returns the number of bodies that failed to
     /// decode (the rest of the batch is still delivered).
@@ -182,6 +199,19 @@ pub trait GossipEngine {
     /// [`agossip_sim::Outbox::append_with`]), so an implementation pushes
     /// and never removes, reorders or rewrites an entry it did not push.
     fn local_step(&mut self, out: &mut Vec<(ProcessId, Self::Msg)>);
+
+    /// Executes one local step into the simulator's send log: what
+    /// [`crate::SimGossip`] calls.
+    ///
+    /// The default runs [`GossipEngine::local_step`] through
+    /// [`Outbox::append_with`]. An override may log `c` identical
+    /// broadcasts as one counted [`Outbox::broadcast`], but must leave
+    /// exactly the state, and queue exactly the messages in the same order,
+    /// that `local_step` does; `tears` ships its `c` second-level
+    /// broadcasts of one step that way.
+    fn local_step_into(&mut self, out: &mut Outbox<Self::Msg>) {
+        out.append_with(|sends| self.local_step(sends));
+    }
 
     /// This process's identifier.
     fn pid(&self) -> ProcessId;

@@ -40,13 +40,23 @@
 //! `u32` array over `0..n`, and the array from then on: chosen at
 //! construction from `|Π1| + |Π2|` (the expected in-degree) and promoted by
 //! the same byte comparison as senders arrive.
+//!
+//! **Counted sends.** Every trigger a process reaches between two of its
+//! local steps ships the same `V` to the same `Π2`, so one local step may
+//! send `c` identical broadcasts; at the paper's constants every
+//! first-level arrival is a trigger for `n ≤ 128`. In the simulator they
+//! are one counted broadcast ([`Outbox::broadcast`]), carried with their
+//! count to the recipient, which counts the flag `c` times and merges the
+//! set once ([`GossipEngine::deliver_copies`]). The runtime's
+//! [`GossipEngine::local_step`] sends the same messages one by one; both
+//! come from one routine.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use agossip_sim::ProcessId;
+use agossip_sim::{Outbox, ProcessId};
 
 use crate::codec_view::{decode_tears_verified, WireDecodeView};
 use crate::engine::{broadcast, EncodedFrame, GossipCtx, GossipEngine};
@@ -157,7 +167,8 @@ impl SenderMarks {
                         if array_is_no_larger(entries.len(), n) {
                             let mut marks = vec![0; n];
                             for &(q, mark) in entries.iter() {
-                                if let Some(slot) = marks.get_mut(q as usize) {
+                                let slot = usize::try_from(q).ok().and_then(|q| marks.get_mut(q));
+                                if let Some(slot) = slot {
                                     *slot = mark;
                                 }
                             }
@@ -280,6 +291,50 @@ impl Tears {
             }
         }
     }
+
+    /// Merges a snapshot from `from` into `V` (Figure 3, line 19), unless
+    /// it is no larger than the sender's mark or brings nothing new (module
+    /// docs).
+    fn merge(&mut self, from: ProcessId, rumors: &RumorSet) {
+        if self.marks.raise(from, rumors.len(), self.ctx.n) && !self.rumors.is_superset_of(rumors) {
+            Arc::make_mut(&mut self.rumors).union(rumors);
+        }
+    }
+
+    /// One local step's sends (Figure 3, lines 12–15 and 20–27), handed to
+    /// `send` as `(targets, message, copies)`: `copies` identical
+    /// broadcasts of `message` to `targets`, in that order. Both
+    /// [`GossipEngine::local_step`] and [`GossipEngine::local_step_into`]
+    /// run it.
+    fn step_sends(&mut self, mut send: impl FnMut(&[ProcessId], TearsMessage, u32)) {
+        self.steps += 1;
+
+        // Figure 3, lines 12–15: the first-level transmission happens once,
+        // in the process's first local step, with the flag raised. The
+        // snapshot is an `Arc` clone — every destination shares one payload.
+        if !self.first_level_sent {
+            self.first_level_sent = true;
+            let msg = TearsMessage {
+                rumors: Arc::clone(&self.rumors),
+                flag: TearsFlag::Up,
+            };
+            send(&self.pi1, msg, 1);
+        }
+
+        // Figure 3, lines 20–27: one second-level broadcast per trigger count
+        // reached since the previous step. `V` does not change in between,
+        // so they are identical.
+        while self.pending_bcasts > 0 {
+            let copies = u32::try_from(self.pending_bcasts).unwrap_or(u32::MAX);
+            self.pending_bcasts -= u64::from(copies);
+            self.second_level_sends += u64::from(copies);
+            let msg = TearsMessage {
+                rumors: Arc::clone(&self.rumors),
+                flag: TearsFlag::Down,
+            };
+            send(&self.pi2, msg, copies);
+        }
+    }
 }
 
 impl GossipEngine for Tears {
@@ -293,11 +348,22 @@ impl GossipEngine for Tears {
     /// with in-flight snapshots.
     fn deliver(&mut self, from: ProcessId, msg: TearsMessage) {
         self.count_flag(msg.flag);
-        if self.marks.raise(from, msg.rumors.len(), self.ctx.n)
-            && !self.rumors.is_superset_of(&msg.rumors)
-        {
-            Arc::make_mut(&mut self.rumors).union(&msg.rumors);
+        self.merge(from, &msg.rumors);
+    }
+
+    /// `copies` deliveries of one message: the flag counts `copies` times,
+    /// and the set merges once. A second delivery of the same snapshot from
+    /// the same sender finds it no larger than the mark the first raised,
+    /// or — for a sender the marks never record — already held, so it
+    /// would only have counted.
+    fn deliver_copies(&mut self, from: ProcessId, msg: TearsMessage, copies: u32) {
+        if copies == 0 {
+            return;
         }
+        for _ in 0..copies {
+            self.count_flag(msg.flag);
+        }
+        self.merge(from, &msg.rumors);
     }
 
     fn deliver_encoded<F: EncodedFrame>(&mut self, frames: &[F]) -> usize {
@@ -334,31 +400,18 @@ impl GossipEngine for Tears {
     }
 
     fn local_step(&mut self, out: &mut Vec<(ProcessId, TearsMessage)>) {
-        self.steps += 1;
+        self.step_sends(|targets, msg, copies| {
+            for _ in 1..copies {
+                broadcast(out, targets, msg.clone());
+            }
+            broadcast(out, targets, msg);
+        });
+    }
 
-        // Figure 3, lines 12–15: the first-level transmission happens once,
-        // in the process's first local step, with the flag raised. The
-        // snapshot is an `Arc` clone — every destination shares one payload.
-        if !self.first_level_sent {
-            self.first_level_sent = true;
-            let msg = TearsMessage {
-                rumors: Arc::clone(&self.rumors),
-                flag: TearsFlag::Up,
-            };
-            broadcast(out, &self.pi1, msg);
-        }
-
-        // Figure 3, lines 20–27: one second-level broadcast per trigger count
-        // reached since the previous step.
-        while self.pending_bcasts > 0 {
-            self.pending_bcasts -= 1;
-            self.second_level_sends += 1;
-            let msg = TearsMessage {
-                rumors: Arc::clone(&self.rumors),
-                flag: TearsFlag::Down,
-            };
-            broadcast(out, &self.pi2, msg);
-        }
+    /// The counted form of [`GossipEngine::local_step`]: a step's
+    /// second-level broadcasts are one [`Outbox::broadcast`].
+    fn local_step_into(&mut self, out: &mut Outbox<TearsMessage>) {
+        self.step_sends(|targets, msg, copies| out.broadcast(targets, msg, copies));
     }
 
     fn pid(&self) -> ProcessId {

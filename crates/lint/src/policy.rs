@@ -146,18 +146,23 @@ pub fn default_policy() -> Policy {
             &[],
         ),
         // (4) Narrowing in codec/wire code — in the informed-list's
-        // matrix, which indexes by frame-supplied ids, and in the
-        // network's in-flight records, which pack a sender and a copy count
-        // into 32 bits — goes through try_from.
+        // matrix, which indexes by frame-supplied ids, in the network's
+        // in-flight records, which pack a sender and a copy count into 32
+        // bits, and along the `u32` copy count itself (the send log's
+        // counted blocks, the step core's folded draws, `tears`' counted
+        // broadcasts) — goes through try_from.
         entry(
             RuleId::NoUncheckedNarrowing,
             &[
                 "crates/core/src/codec.rs",
                 "crates/core/src/codec_view.rs",
                 "crates/core/src/informed_list.rs",
+                "crates/core/src/tears.rs",
                 "crates/core/src/wire.rs",
                 "crates/runtime/src/transport.rs",
+                "crates/sim/src/message.rs",
                 "crates/sim/src/network.rs",
+                "crates/sim/src/scheduler.rs",
             ],
             &[],
         ),
@@ -256,6 +261,18 @@ mod tests {
             network.contains(&RuleId::NoUncheckedNarrowing),
             "the in-flight record packs a sender and a copy count into 32 bits"
         );
+        for counted_path in [
+            "crates/sim/src/message.rs",
+            "crates/sim/src/scheduler.rs",
+            "crates/core/src/tears.rs",
+        ] {
+            assert!(
+                policy
+                    .rules_for(counted_path)
+                    .contains(&RuleId::NoUncheckedNarrowing),
+                "{counted_path} narrows a copy count to u32"
+            );
+        }
 
         let sim_test = policy.rules_for("crates/sim/tests/network_differential.rs");
         assert!(!sim_test.contains(&RuleId::NoNondeterministicCollections));

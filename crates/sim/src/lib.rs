@@ -37,7 +37,9 @@
 //!   send order and their earliest deadline, so a destination with nothing
 //!   due is skipped and a due batch leaves in one pass. A sender's
 //!   value-identical copies of one payload in one step share a record per
-//!   delay.
+//!   delay, and a local step receives the record once, with its count
+//!   ([`Envelope::copies`]); an [`Outbox`] logs `c` identical broadcasts
+//!   as one counted block ([`Outbox::broadcast`]).
 //! * [`adversary`] — the adversary trait plus a family of oblivious
 //!   schedule/delay/crash policies.
 //! * [`metrics`] — message, step, delay and quiescence accounting; these are

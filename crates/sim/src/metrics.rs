@@ -16,6 +16,12 @@ pub struct Metrics {
     pub messages_sent: u64,
     /// Total messages delivered to their recipients.
     pub messages_delivered: u64,
+    /// Deliveries handed to local steps: one per network record, however
+    /// many identical messages it stands for (see
+    /// [`crate::Envelope::copies`]). Equals [`Self::messages_delivered`]
+    /// when no record is shared; their ratio is the messages a delivery
+    /// carries.
+    pub deliveries: u64,
     /// Messages dropped because their recipient crashed.
     pub messages_dropped: u64,
     /// Per-process count of messages sent.
@@ -50,6 +56,7 @@ impl Metrics {
         Metrics {
             messages_sent: 0,
             messages_delivered: 0,
+            deliveries: 0,
             messages_dropped: 0,
             sent_by: vec![0; n],
             delivered_to: vec![0; n],
@@ -71,8 +78,21 @@ impl Metrics {
 
     /// Records that `to` was delivered a message sent at `sent_at`, now.
     pub fn record_delivery(&mut self, to: ProcessId, sent_at: TimeStep, now: TimeStep) {
-        self.messages_delivered += 1;
-        self.delivered_to[to.index()] += 1;
+        self.record_copies_delivered(to, sent_at, now, 1);
+    }
+
+    /// Records one delivery to `to` of `copies` identical messages sent at
+    /// `sent_at`, now.
+    pub fn record_copies_delivered(
+        &mut self,
+        to: ProcessId,
+        sent_at: TimeStep,
+        now: TimeStep,
+        copies: u32,
+    ) {
+        self.deliveries += 1;
+        self.messages_delivered += u64::from(copies);
+        self.delivered_to[to.index()] += u64::from(copies);
         let delay = now.since(sent_at);
         if delay > self.max_delivery_delay {
             self.max_delivery_delay = delay;
@@ -165,6 +185,18 @@ mod tests {
         assert_eq!(m.messages_delivered, 2);
         assert_eq!(m.delivered_to[1], 2);
         assert_eq!(m.max_delivery_delay, 4);
+        assert_eq!(m.deliveries, 2, "one copy each: a delivery per message");
+    }
+
+    #[test]
+    fn a_counted_delivery_is_one_delivery_of_its_copies() {
+        let mut m = Metrics::new(2);
+        m.record_copies_delivered(ProcessId(1), TimeStep(1), TimeStep(3), 18);
+        m.record_delivery(ProcessId(0), TimeStep(2), TimeStep(3));
+        assert_eq!(m.messages_delivered, 19);
+        assert_eq!(m.delivered_to, vec![1, 18]);
+        assert_eq!(m.deliveries, 2);
+        assert_eq!(m.max_delivery_delay, 2);
     }
 
     #[test]

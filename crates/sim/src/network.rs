@@ -23,7 +23,7 @@
 //! delay as a `u32`, and one `u32` packing the sender with a copy count —
 //! 32 bytes for a `tears` message. The deadline is recomputed from
 //! `sent_at + delay` when a pass looks at it, and a delivery rebuilds the
-//! envelopes.
+//! envelope.
 //!
 //! A record stands for `c ≥ 1` value-identical messages: the same sender,
 //! `sent_at`, delay and an equal payload. `tears` ships its unchanged `V` to
@@ -34,10 +34,15 @@
 //! sender, `sent_at` and an equal payload (the delays may differ). Such a
 //! run of records holds only envelopes equal to the new one, so the merge
 //! only reorders equal values: every delivered batch is the same sequence of
-//! values, in the same order, as with one record per message. A collection
-//! expands a record into its copies; [`Network::in_flight`],
-//! [`Network::pending_for`], [`Network::drop_for`] and
-//! [`Network::clone_pending_for`] count and list messages, not records.
+//! values, in the same order, as with one record per message. An envelope
+//! of `c` copies is sent as `c` single envelopes would be, in one call.
+//!
+//! [`Network::collect_deliverable_into`], the simulator's delivery path,
+//! hands out one envelope per due record, carrying the record's count in
+//! [`Envelope::copies`]. [`Network::collect_deliverable`] and
+//! [`Network::clone_pending_for`] expand a record into its copies, one
+//! envelope each; [`Network::in_flight`], [`Network::pending_for`] and
+//! [`Network::drop_for`] count messages, not records.
 
 use crate::config::MAX_PROCESSES;
 use crate::message::Envelope;
@@ -95,23 +100,31 @@ impl<M> InFlight<M> {
         (self.from >> SENDER_BITS) + 1
     }
 
-    /// Appends the `copies` envelopes this record was sent as, addressed to
-    /// `to`, onto `out`.
-    fn expand_into(self, to: ProcessId, out: &mut Vec<Envelope<M>>)
-    where
-        M: Clone,
-    {
-        let copies = self.copies();
-        let envelope = Envelope {
+    /// The envelope this record stands for, addressed to `to`, with the
+    /// record's count.
+    fn into_envelope(self, to: ProcessId) -> Envelope<M> {
+        Envelope {
             from: ProcessId(usize::try_from(self.sender()).unwrap_or(usize::MAX)),
             to,
             sent_at: self.sent_at,
+            copies: self.copies(),
             payload: self.payload,
-        };
-        for _ in 1..copies {
-            out.push(envelope.clone());
         }
-        out.push(envelope);
+    }
+}
+
+/// Appends the messages `envelope` stands for onto `out`, one envelope of
+/// one copy each.
+fn expand_into<M: Clone>(envelope: Envelope<M>, out: &mut Vec<Envelope<M>>) {
+    let single = Envelope {
+        copies: 1,
+        ..envelope
+    };
+    for _ in 1..envelope.copies {
+        out.push(single.clone());
+    }
+    if envelope.copies > 0 {
+        out.push(single);
     }
 }
 
@@ -172,8 +185,10 @@ impl<M> Network<M> {
         self.queues.len()
     }
 
-    /// Accepts a message sent at `envelope.sent_at` with delivery delay
-    /// `delay` (so it becomes deliverable at `sent_at + delay`).
+    /// Accepts the `envelope.copies` messages `envelope` stands for, sent at
+    /// `envelope.sent_at` with delivery delay `delay` (so they become
+    /// deliverable at `sent_at + delay`), exactly as that many single sends
+    /// would.
     ///
     /// A `delay` of `u64::MAX` models a message the adversary withholds for
     /// the remainder of the execution (used by the adaptive lower-bound
@@ -191,24 +206,29 @@ impl<M> Network<M> {
     /// cannot tell apart.
     pub fn send(&mut self, envelope: Envelope<M>, delay: u64)
     where
-        M: PartialEq,
+        M: Clone + PartialEq,
     {
         let Envelope {
             from,
             to,
             sent_at,
             payload,
+            copies,
         } = envelope;
-        self.push(from, to, sent_at, payload, delay);
+        self.push(from, to, sent_at, payload, delay, copies);
     }
 
     /// [`Self::send`] without building the envelope: what the scheduler
-    /// calls for every entry of a step's send log.
+    /// calls for every run of equal delays a step's send log draws for one
+    /// entry.
     ///
-    /// Merges the message into the nearest record, walking back from the
-    /// tail over records of the same sender, `sent_at` and an equal
-    /// payload, whose delay equals this message's and whose count has room;
-    /// otherwise appends a new record.
+    /// Adds the copies to the nearest record, walking back from the tail
+    /// over records of the same sender, `sent_at` and an equal payload,
+    /// whose delay equals this one's and whose count has room; what does
+    /// not fit goes into new records of up to [`MAX_COPIES`] each. That is
+    /// where `copies` single pushes put them: at most the last record of a
+    /// delay has room, and once it is full every further copy lands in the
+    /// newest record.
     pub(crate) fn push(
         &mut self,
         from: ProcessId,
@@ -216,15 +236,20 @@ impl<M> Network<M> {
         sent_at: TimeStep,
         payload: M,
         delay: u64,
+        copies: u32,
     ) where
-        M: PartialEq,
+        M: Clone + PartialEq,
     {
         debug_assert!(to.index() < self.queues.len(), "destination out of range");
         debug_assert!(from.index() < MAX_PROCESSES, "sender out of range");
+        if copies == 0 {
+            return;
+        }
         let delay = u32::try_from(delay).unwrap_or(WITHHELD);
         let queue = &mut self.queues[to.index()];
         queue.earliest = earliest_with(queue.earliest, deadline(sent_at, delay));
-        self.in_flight += 1;
+        self.in_flight += usize::try_from(copies).unwrap_or(usize::MAX);
+        let mut left = copies;
         // A sender that does not fit the sender bits is saturated, never
         // wrapped, and never shares a record.
         let sender = u32::try_from(from.index())
@@ -239,36 +264,52 @@ impl<M> Network<M> {
                     break;
                 }
                 if record.delay == delay && record.copies() < MAX_COPIES {
-                    record.from += 1 << SENDER_BITS;
-                    return;
+                    let added = left.min(MAX_COPIES - record.copies());
+                    record.from += added << SENDER_BITS;
+                    left -= added;
+                    break;
                 }
             }
         }
-        queue.pending.push(InFlight {
+        let per_record = if sender.is_some() { MAX_COPIES } else { 1 };
+        let record = |copies: u32, payload: M| InFlight {
             payload,
             sent_at,
-            from: sender.unwrap_or(SENDER_MASK),
+            from: sender.unwrap_or(SENDER_MASK) | ((copies - 1) << SENDER_BITS),
             delay,
-        });
+        };
+        while left > per_record {
+            queue.pending.push(record(per_record, payload.clone()));
+            left -= per_record;
+        }
+        if left > 0 {
+            queue.pending.push(record(left, payload));
+        }
     }
 
     /// Removes and returns every message addressed to `to` whose delivery
-    /// deadline has been reached at time `now`, in send order.
+    /// deadline has been reached at time `now`, in send order, one envelope
+    /// per message: a record of `c` copies becomes `c` envelopes of one copy.
     ///
-    /// Convenience wrapper around [`Self::collect_deliverable_into`] for
-    /// callers that do not reuse a buffer.
+    /// The expanded form of [`Self::collect_deliverable_into`], for tests
+    /// and callers that want one envelope per message.
     pub fn collect_deliverable(&mut self, to: ProcessId, now: TimeStep) -> Vec<Envelope<M>>
     where
         M: Clone,
     {
+        let mut records = Vec::new();
+        self.collect_deliverable_into(to, now, &mut records);
         let mut delivered = Vec::new();
-        self.collect_deliverable_into(to, now, &mut delivered);
+        for envelope in records {
+            expand_into(envelope, &mut delivered);
+        }
         delivered
     }
 
     /// Appends every message addressed to `to` whose delivery deadline has
-    /// been reached at time `now` onto `out`, in send order: a record of
-    /// `c` copies becomes `c` envelopes.
+    /// been reached at time `now` onto `out`, in send order, one envelope
+    /// per record: a record of `c` copies becomes one envelope with
+    /// [`Envelope::copies`] `= c`.
     ///
     /// When the earliest deadline for `to` is still in the future this
     /// returns without moving (or allocating) anything.
@@ -277,14 +318,11 @@ impl<M> Network<M> {
         to: ProcessId,
         now: TimeStep,
         out: &mut Vec<Envelope<M>>,
-    ) where
-        M: Clone,
-    {
+    ) {
         let queue = &mut self.queues[to.index()];
         if queue.earliest.is_none_or(|e| e > now) {
             return;
         }
-        let before = out.len();
         let mut earliest = None;
         let due = queue.pending.extract_if(.., |m| {
             let at = m.deliverable_at();
@@ -294,11 +332,13 @@ impl<M> Network<M> {
             }
             due
         });
+        let mut delivered = 0usize;
         for m in due {
-            m.expand_into(to, out);
+            delivered += usize::try_from(m.copies()).unwrap_or(usize::MAX);
+            out.push(m.into_envelope(to));
         }
         queue.earliest = earliest;
-        self.in_flight -= out.len() - before;
+        self.in_flight -= delivered;
     }
 
     /// Discards every message addressed to `to` (used when `to` crashes).
@@ -352,7 +392,7 @@ impl<M> Network<M> {
         let pending = &self.queues[to.index()].pending;
         let mut out = Vec::with_capacity(messages_in(pending));
         for m in pending {
-            m.clone().expand_into(to, &mut out);
+            expand_into(m.clone().into_envelope(to), &mut out);
         }
         out
     }
@@ -382,6 +422,7 @@ mod tests {
             to: ProcessId(to),
             sent_at: TimeStep(at),
             payload,
+            copies: 1,
         }
     }
 
@@ -662,6 +703,34 @@ mod tests {
         assert_eq!(net.records_for(ProcessId(1)), 2);
         assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(1)).len(), 1);
         assert_eq!(net.collect_deliverable(ProcessId(1), TimeStep(2)).len(), 2);
+    }
+
+    #[test]
+    fn a_record_is_delivered_once_with_its_count() {
+        let mut net: Network<u32> = Network::new(2);
+        net.send(
+            Envelope {
+                copies: 5,
+                ..env(0, 1, 0, 7)
+            },
+            1,
+        );
+        net.send(env(0, 1, 0, 8), 1);
+        net.send(env(0, 1, 0, 7), 1);
+        net.send(
+            Envelope {
+                copies: 0,
+                ..env(0, 1, 0, 9)
+            },
+            1,
+        );
+        assert_eq!(net.records_for(ProcessId(1)), 3);
+        assert_eq!(net.in_flight(), 7);
+        let mut out = Vec::new();
+        net.collect_deliverable_into(ProcessId(1), TimeStep(1), &mut out);
+        let copies: Vec<(u32, u32)> = out.iter().map(|e| (e.payload, e.copies)).collect();
+        assert_eq!(copies, [(7, 5), (8, 1), (7, 1)]);
+        assert!(net.is_empty());
     }
 
     #[test]

@@ -90,14 +90,18 @@ pub trait Process {
     /// Executes one local step at time `now`.
     ///
     /// `inbox` contains every message delivered at this step (possibly
-    /// empty), in send order; implementations typically `drain(..)` it. The
-    /// buffer is owned by the simulator and reused across steps, so
-    /// steady-state stepping performs no inbox allocation; anything left in
-    /// it after the step is discarded. Outgoing messages are pushed into
-    /// `out`; the simulator stamps them with the current time and hands them
-    /// to the network. `out` is the step's send log, shared by every process
-    /// scheduled in the step: treat it as append-only (queue through
-    /// [`Outbox::send`], [`Outbox::send_all`] or [`Outbox::append_with`]).
+    /// empty), in send order, one envelope per network record: an envelope
+    /// with [`Envelope::copies`] `= c` is `c` identical messages in a row,
+    /// and handling it must leave the state handling them one by one would.
+    /// Implementations typically `drain(..)` it. The buffer is owned by the
+    /// simulator and reused across steps, so steady-state stepping performs
+    /// no inbox allocation; anything left in it after the step is
+    /// discarded. Outgoing messages are pushed into `out`; the simulator
+    /// stamps them with the current time and hands them to the network.
+    /// `out` is the step's send log, shared by every process scheduled in
+    /// the step: treat it as append-only (queue through [`Outbox::send`],
+    /// [`Outbox::send_all`], [`Outbox::broadcast`] or
+    /// [`Outbox::append_with`]).
     fn on_step(
         &mut self,
         now: TimeStep,

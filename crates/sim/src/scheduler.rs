@@ -17,6 +17,14 @@
 //! makes two passes over the log — choose and validate every delay, then
 //! hand every message to the network — so a step that fails sends nothing.
 //! No message is copied between the log and its destination queue.
+//!
+//! A counted broadcast (one log entry per target standing for `c` copies,
+//! see [`Outbox::broadcast`]) stays counted end to end. The delay pass
+//! still draws one delay per message, in the order the `c` uncounted
+//! broadcasts would have been drawn; the send pass folds each target's `c`
+//! draws into runs of equal delays and hands each run to the network as one
+//! counted push; a delivery hands each network record to the recipient's
+//! local step once, with its count ([`Envelope::copies`]).
 
 use crate::adversary::{Adversary, StepPlan, SystemView};
 use crate::config::SimConfig;
@@ -66,9 +74,18 @@ pub struct Simulation<P: Process> {
     outbox: Outbox<P::Message>,
     /// `(sender, end)` of each segment of `outbox`, in schedule order.
     segments: Vec<(ProcessId, usize)>,
-    /// The delay chosen for each entry of `outbox`, in log order; 0 marks a
+    /// `(sender, entries, copies)` of each run of `outbox`'s entries that
+    /// stand for the same number of copies, in log order: what the send
+    /// pass walks the drained log by.
+    runs: Vec<(ProcessId, usize, u32)>,
+    /// The delay chosen for each message of `outbox`, entry by entry in log
+    /// order: a counted block's entry holds its copies' draws side by side
+    /// (they are drawn copy-major, so they are written strided). 0 marks a
     /// message to a crashed destination, which is dropped.
     delays: Vec<u64>,
+    /// One entry's draws folded into `(delay, copies)`, in first-appearance
+    /// order.
+    folded: Vec<(u64, u32)>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -98,7 +115,9 @@ impl<P: Process> Simulation<P> {
             inbox: Vec::new(),
             outbox: Outbox::new(),
             segments: Vec::new(),
+            runs: Vec::new(),
             delays: Vec::new(),
+            folded: Vec::new(),
         })
     }
 
@@ -269,8 +288,10 @@ impl<P: Process> Simulation<P> {
     /// the delay chosen by `delay_for` and hand it to the network. Two
     /// passes over the log: every delay is chosen and validated before the
     /// first message reaches the network, so a step that fails sends
-    /// nothing. Uses the simulation's reusable inbox, send log and delay
-    /// buffers, so steady-state stepping performs no allocation.
+    /// nothing. A counted block's draws are made copy-major, one per
+    /// message, and each target's are folded into one network push per
+    /// distinct delay. Uses the simulation's reusable inbox, send log and
+    /// delay buffers, so steady-state stepping performs no allocation.
     fn step_core<F>(
         &mut self,
         schedule: &[ProcessId],
@@ -291,8 +312,11 @@ impl<P: Process> Simulation<P> {
         let mut inbox = std::mem::take(&mut self.inbox);
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut segments = std::mem::take(&mut self.segments);
+        let mut runs = std::mem::take(&mut self.runs);
         let mut delays = std::mem::take(&mut self.delays);
+        let mut folded = std::mem::take(&mut self.folded);
         segments.clear();
+        runs.clear();
         delays.clear();
 
         for &pid in schedule {
@@ -309,7 +333,8 @@ impl<P: Process> Simulation<P> {
             self.network
                 .collect_deliverable_into(pid, self.now, &mut inbox);
             for env in &inbox {
-                self.metrics.record_delivery(pid, env.sent_at, self.now);
+                self.metrics
+                    .record_copies_delivered(pid, env.sent_at, self.now, env.copies);
             }
             self.metrics
                 .record_step(pid, self.last_scheduled[pid.index()], self.now);
@@ -337,50 +362,98 @@ impl<P: Process> Simulation<P> {
         // steps of this tick: only `in_flight` could still change during the
         // sends below, and the batch's delay decisions deliberately all see
         // the pre-send count (documented on `SystemView::in_flight`).
+        // A counted block is drawn copy-major: its targets in order, once
+        // per copy, exactly as that many uncounted broadcasts would be. Its
+        // draws are stored entry by entry, so the send pass folds each
+        // entry's copies from one contiguous slice.
         {
             let view = self.view();
             let log = outbox.log();
             let mut begin = 0;
             for &(from, end) in &segments {
-                for &(to, _) in &log[begin..end] {
-                    if self.statuses[to.index()].is_crashed() {
-                        delays.push(0);
-                        continue;
+                for (range, copies) in outbox.runs(begin, end) {
+                    runs.push((from, range.len(), copies));
+                    let entries = &log[range];
+                    let copies = usize::try_from(copies).unwrap_or(usize::MAX);
+                    let base = delays.len();
+                    delays.resize(base + entries.len() * copies, 0);
+                    for copy in 0..copies {
+                        for (j, &(to, _)) in entries.iter().enumerate() {
+                            if self.statuses[to.index()].is_crashed() {
+                                continue;
+                            }
+                            let meta = EnvelopeMeta {
+                                from,
+                                to,
+                                sent_at: self.now,
+                            };
+                            let chosen = delay_for(&meta, &view);
+                            if chosen == 0 || (chosen > self.config.d && chosen != u64::MAX) {
+                                return Err(SimError::DelayOutOfBounds {
+                                    from,
+                                    to,
+                                    delay: chosen,
+                                    d: self.config.d,
+                                });
+                            }
+                            delays[base + j * copies + copy] = chosen;
+                        }
                     }
-                    let meta = EnvelopeMeta {
-                        from,
-                        to,
-                        sent_at: self.now,
-                    };
-                    let chosen = delay_for(&meta, &view);
-                    if chosen == 0 || (chosen > self.config.d && chosen != u64::MAX) {
-                        return Err(SimError::DelayOutOfBounds {
-                            from,
-                            to,
-                            delay: chosen,
-                            d: self.config.d,
-                        });
-                    }
-                    delays.push(chosen);
                 }
                 begin = end;
             }
         }
 
-        let mut sends = outbox.drain_log().zip(delays.iter());
-        let mut begin = 0;
-        for &(from, end) in &segments {
-            for ((to, payload), &delay) in sends.by_ref().take(end - begin) {
-                // Messages to crashed destinations are dropped (they can
-                // never be received) but they were already counted as sent
-                // above.
-                if delay == 0 {
-                    self.metrics.record_dropped(1);
+        // Messages to crashed destinations are dropped (they can never be
+        // received) but they were already counted as sent above.
+        let mut sends = outbox.drain_log();
+        let mut drawn = delays.as_slice();
+        for &(from, entries, copies) in &runs {
+            let copies_len = usize::try_from(copies).unwrap_or(usize::MAX);
+            let (draws, rest) = drawn.split_at(entries * copies_len);
+            drawn = rest;
+            if copies == 1 {
+                for ((to, payload), &delay) in sends.by_ref().take(entries).zip(draws) {
+                    if delay == 0 {
+                        self.metrics.record_dropped(1);
+                    } else {
+                        self.network.push(from, to, self.now, payload, delay, 1);
+                    }
+                }
+                continue;
+            }
+            let entry_draws = draws.chunks_exact(copies_len);
+            for ((to, payload), draws) in sends.by_ref().take(entries).zip(entry_draws) {
+                // Fold the entry's draws into runs of equal delays, in
+                // first-appearance order, without a branch per draw (the
+                // delays are random).
+                folded.clear();
+                for &delay in draws {
+                    let mut seen = false;
+                    for (d, count) in folded.iter_mut() {
+                        let equal = *d == delay;
+                        *count += u32::from(equal);
+                        seen |= equal;
+                    }
+                    if !seen {
+                        folded.push((delay, 1));
+                    }
+                }
+                let Some((&(last_delay, last_count), rest)) = folded.split_last() else {
+                    continue;
+                };
+                // A crashed destination draws 0 for every copy.
+                if last_delay == 0 {
+                    self.metrics.record_dropped(u64::from(last_count));
                     continue;
                 }
-                self.network.push(from, to, self.now, payload, delay);
+                for &(delay, count) in rest {
+                    self.network
+                        .push(from, to, self.now, payload.clone(), delay, count);
+                }
+                self.network
+                    .push(from, to, self.now, payload, last_delay, last_count);
             }
-            begin = end;
         }
         drop(sends);
 
@@ -396,7 +469,9 @@ impl<P: Process> Simulation<P> {
         self.inbox = inbox;
         self.outbox = outbox;
         self.segments = segments;
+        self.runs = runs;
         self.delays = delays;
+        self.folded = folded;
         Ok(())
     }
 
@@ -520,7 +595,9 @@ mod tests {
             out: &mut Outbox<Self::Message>,
         ) {
             for env in inbox.drain(..) {
-                self.received.push(env.payload);
+                for _ in 0..env.copies {
+                    self.received.push(env.payload);
+                }
             }
             if !self.sent {
                 self.sent = true;

@@ -11,6 +11,12 @@
 //!   includes runs of one sender's repeated payload to one destination in
 //!   one step, which the network shares between records with a copy count
 //!   while the model keeps one entry per message.
+//! * `a_counted_send_equals_single_sends` and
+//!   `a_counted_send_straddling_the_record_cap_equals_single_sends` send
+//!   one envelope of `c` copies to one network and `c` single envelopes to
+//!   another and to the model: the two networks must hold the same records
+//!   (one envelope per record, with its count, out of
+//!   `collect_deliverable_into`), and the model the same messages.
 //! * `earliest_is_exact_after_every_partial_collection` and
 //!   `long_unscheduled_destination_gets_one_batch_in_send_order` aim the same
 //!   comparison at the two cases a collection pass must get right: keeping
@@ -200,7 +206,7 @@ proptest! {
                     let from = ProcessId(prng.below(n as u64) as usize);
                     let to = ProcessId(prng.below(n as u64) as usize);
                     let delay = draw_delay(&mut prng, d);
-                    let env = Envelope { from, to, sent_at: now, payload: next_payload };
+                    let env = Envelope { from, to, sent_at: now, payload: next_payload, copies: 1 };
                     next_payload += 1;
                     network.send(env.clone(), delay);
                     model.send(env, delay);
@@ -242,7 +248,7 @@ proptest! {
                                 _ => (from, repeated),
                             };
                             let delay = draw_delay(&mut prng, d);
-                            let env = Envelope { from: sender, to, sent_at: now, payload };
+                            let env = Envelope { from: sender, to, sent_at: now, payload, copies: 1 };
                             network.send(env.clone(), delay);
                             model.send(env, delay);
                         }
@@ -283,6 +289,130 @@ proptest! {
     }
 }
 
+/// The network's per-record copy cap, 2^12 (private to the network: the
+/// bits of a record's sender word above the 20 sender bits).
+const RECORD_CAP: u32 = 1 << 12;
+
+/// One envelope per record due at `now` for `to`, each with its count.
+fn due_records(network: &mut Network<u64>, to: ProcessId, now: TimeStep) -> Vec<Envelope<u64>> {
+    let mut records = Vec::new();
+    network.collect_deliverable_into(to, now, &mut records);
+    records
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// A send of `c` copies is `c` single sends: the same records in the
+    /// same order, and, expanded, the model's messages. Few senders and
+    /// payloads, so a counted send often lands on a run of earlier records
+    /// it may join.
+    #[test]
+    fn a_counted_send_equals_single_sends(
+        n in 2usize..6,
+        d in 1u64..6,
+        ops in 10usize..80,
+        scenario in 0u64..1_000_000,
+    ) {
+        let mut prng = Prng(scenario);
+        let mut counted: Network<u64> = Network::new(n);
+        let mut singles: Network<u64> = Network::new(n);
+        let mut model: ReferenceNetwork<u64> = ReferenceNetwork::new(n);
+        let mut now = TimeStep::ZERO;
+        for _ in 0..ops {
+            match prng.below(8) {
+                0..=4 => {
+                    let copies = 1 + prng.below(12) as u32;
+                    let env = Envelope {
+                        from: ProcessId(prng.below(2) as usize),
+                        to: ProcessId(prng.below(n as u64) as usize),
+                        sent_at: now,
+                        payload: prng.below(3),
+                        copies,
+                    };
+                    let delay = draw_delay(&mut prng, d);
+                    let single = Envelope { copies: 1, ..env.clone() };
+                    counted.send(env, delay);
+                    for _ in 0..copies {
+                        singles.send(single.clone(), delay);
+                        model.send(single.clone(), delay);
+                    }
+                }
+                5 => {
+                    let to = ProcessId(prng.below(n as u64) as usize);
+                    let records = due_records(&mut counted, to, now);
+                    prop_assert_eq!(&records, &due_records(&mut singles, to, now));
+                    let messages: Vec<_> = records
+                        .iter()
+                        .flat_map(|env| {
+                            std::iter::repeat_n(Envelope { copies: 1, ..env.clone() }, env.copies as usize)
+                        })
+                        .collect();
+                    prop_assert_eq!(messages, model.collect_deliverable(to, now));
+                }
+                6 => {
+                    let to = ProcessId(prng.below(n as u64) as usize);
+                    let dropped = counted.drop_for(to);
+                    prop_assert_eq!(dropped, singles.drop_for(to));
+                    prop_assert_eq!(dropped, model.drop_for(to));
+                }
+                _ => now = now.after(1 + prng.below(d)),
+            }
+            observables_agree(&counted, &model, now);
+            prop_assert_eq!(counted.in_flight(), singles.in_flight());
+        }
+    }
+}
+
+/// Counts that fill a record exactly, straddle the cap, span several
+/// records, or top up a record already queued at the same delay (across a
+/// record of another delay) come out as the same records as that many
+/// single sends.
+#[test]
+fn a_counted_send_straddling_the_record_cap_equals_single_sends() {
+    let to = ProcessId(1);
+    let env = |copies| Envelope {
+        from: ProcessId(0),
+        to,
+        sent_at: TimeStep(4),
+        payload: 9u64,
+        copies,
+    };
+    for (queued, copies) in [
+        (0, RECORD_CAP - 1),
+        (0, RECORD_CAP),
+        (0, RECORD_CAP + 1),
+        (RECORD_CAP - 5, 9),
+        (3, 2 * RECORD_CAP + 7),
+    ] {
+        let mut counted: Network<u64> = Network::new(2);
+        let mut singles: Network<u64> = Network::new(2);
+        for _ in 0..queued {
+            counted.send(env(1), 2);
+            singles.send(env(1), 2);
+        }
+        counted.send(env(1), 1);
+        singles.send(env(1), 1);
+        counted.send(env(copies), 2);
+        for _ in 0..copies {
+            singles.send(env(1), 2);
+        }
+        let total = (queued + 1 + copies) as usize;
+        assert_eq!(counted.in_flight(), total);
+        assert_eq!(counted.pending_for(to), total);
+        assert_eq!(counted.clone_pending_for(to), singles.clone_pending_for(to));
+        let records = due_records(&mut counted, to, TimeStep(6));
+        assert_eq!(records, due_records(&mut singles, to, TimeStep(6)));
+        assert!(records.iter().all(|r| (1..=RECORD_CAP).contains(&r.copies)));
+        assert_eq!(
+            records.iter().map(|r| r.copies as usize).sum::<usize>(),
+            total,
+            "{queued} queued + {copies}"
+        );
+        assert!(counted.is_empty());
+    }
+}
+
 /// Withheld and due traffic interleaved on one destination: a collection
 /// that takes some messages and keeps others must leave the destination's
 /// earliest deadline exact, whichever of the two kinds it kept.
@@ -309,6 +439,7 @@ fn earliest_is_exact_after_every_partial_collection() {
                     to,
                     sent_at: now,
                     payload: next_payload,
+                    copies: 1,
                 };
                 next_payload += 1;
                 network.send(env.clone(), delay);
@@ -353,6 +484,7 @@ fn long_unscheduled_destination_gets_one_batch_in_send_order() {
                 to,
                 sent_at: TimeStep(t),
                 payload,
+                copies: 1,
             };
             if delay != u64::MAX {
                 due.push(payload);
@@ -447,8 +579,10 @@ impl Process for EchoFlood {
         out: &mut Outbox<Self::Message>,
     ) {
         let mut sends = Vec::new();
-        let drained: Vec<(ProcessId, u64)> =
-            inbox.drain(..).map(|env| (env.from, env.payload)).collect();
+        let drained: Vec<(ProcessId, u64)> = inbox
+            .drain(..)
+            .flat_map(|env| std::iter::repeat_n((env.from, env.payload), env.copies as usize))
+            .collect();
         self.step_logic(drained.into_iter(), &mut sends);
         for (to, payload) in sends {
             out.send(to, payload);
@@ -624,6 +758,7 @@ fn run_reference(scenario: &Scenario) -> Observed {
                     to,
                     sent_at: now,
                     payload,
+                    copies: 1,
                 });
             }
         }

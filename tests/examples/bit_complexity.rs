@@ -20,9 +20,9 @@ use agossip_analysis::sweep::SweepArgs;
 fn main() {
     let args = SweepArgs::from_env();
     args.reject_registry_flags("bit_complexity");
-    // Stops at n = 128 by default, like the table1 example: about 1 s and
-    // 43 MiB peak RSS. Pass --n 32,64,128,256 for the full grid, about 6 s
-    // and 0.3 GiB (release, one worker thread, a 2-core x86-64 box).
+    // Stops at n = 128 by default, like the table1 example: about 0.25 s
+    // and 17 MiB peak RSS. Pass --n 32,64,128,256 for the full grid, about
+    // 2 s and 83 MiB (release, one worker thread, a 2-core x86-64 box).
     let mut scale = ExperimentScale {
         n_values: vec![32, 64, 128],
         trials: 3,

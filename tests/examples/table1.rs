@@ -5,11 +5,11 @@
 //! cargo run --release --example table1 -- [--threads N] [--trials N] [--n A,B,C]
 //! ```
 //!
-//! The default grid stops at `n = 128`, which runs in about 1 s with a
-//! 43 MiB peak RSS. Pass `--n 32,64,128,256` for the paper's full grid: the
-//! `n = 256` column (its `tears` trials dominate, ~1.3 s each) brings the
-//! run to about 5 s and 0.3 GiB peak RSS (release, one worker thread, a
-//! 2-core x86-64 box).
+//! The default grid stops at `n = 128`, which runs in about 0.2 s with a
+//! 17 MiB peak RSS. Pass `--n 32,64,128,256` for the paper's full grid: the
+//! `n = 256` column (its `tears` trials take ~0.2 s each) brings the run to
+//! about 1.6 s and 82 MiB peak RSS (release, one worker thread, a 2-core
+//! x86-64 box).
 
 use agossip_analysis::experiments::table1::{message_exponent, table1_rows, table1_to_table};
 use agossip_analysis::experiments::{ExperimentScale, GossipProtocolKind};

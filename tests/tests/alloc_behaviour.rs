@@ -219,6 +219,7 @@ fn partial_network_collection_allocates_nothing_beyond_out() {
             to,
             sent_at: TimeStep::ZERO,
             payload,
+            copies: 1,
         };
         network.send(env, 1 + payload % 2);
     }

@@ -12,6 +12,10 @@
 //!
 //! Messages are compared through their `Debug` form, which every engine's
 //! message type has and which covers every field (rumor sets included).
+//!
+//! A counted broadcast ([`Outbox::broadcast`]) logs `c` identical
+//! broadcasts as one entry per target; `a_counted_broadcast_equals_repeated_broadcasts`
+//! holds it to the `c` uncounted broadcasts it stands for.
 
 use std::sync::Arc;
 
@@ -126,6 +130,7 @@ fn check_processes<P: Process>(build: impl Fn() -> Vec<P>, seed: u64, rounds: us
                     to,
                     sent_at: now,
                     payload,
+                    copies: 1,
                 });
             }
         }
@@ -186,5 +191,77 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         check_processes(build, seed, rounds);
+    }
+}
+
+/// `default` cases, or `PROPTEST_CASES` when it is set: the nightly Miri
+/// job runs the counted-broadcast property on a handful of cases.
+fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// A counted broadcast of `c` copies against `c` calls of `send_all`,
+    /// between single sends and `append_with` pushes: the same `len`, and
+    /// `messages` lists what the repeated calls logged, in the same
+    /// copy-major order. `sends`, `counted_sends`, `drain` and `into_sends`
+    /// see each entry once, with its count in `counted_sends` only.
+    #[test]
+    fn a_counted_broadcast_equals_repeated_broadcasts(seed in any::<u64>(), ops in 1usize..24) {
+        let mut rng = Prng(seed);
+        let mut counted: Outbox<u64> = Outbox::new();
+        let mut repeated: Outbox<u64> = Outbox::new();
+        let mut entries: Vec<(ProcessId, u64, u32)> = Vec::new();
+        for payload in 0..ops as u64 {
+            match rng.next() % 4 {
+                0 => {
+                    let to = ProcessId((rng.next() % 16) as usize);
+                    counted.send(to, payload);
+                    repeated.send(to, payload);
+                    entries.push((to, payload, 1));
+                }
+                1 => {
+                    let to = ProcessId((rng.next() % 16) as usize);
+                    counted.append_with(|log| log.push((to, payload)));
+                    repeated.append_with(|log| log.push((to, payload)));
+                    entries.push((to, payload, 1));
+                }
+                _ => {
+                    let targets: Vec<ProcessId> = (0..rng.next() % 6)
+                        .map(|_| ProcessId((rng.next() % 16) as usize))
+                        .collect();
+                    // 0 and 1 included: nothing, and a plain `send_all`.
+                    let copies = (rng.next() % 5) as u32;
+                    counted.broadcast(&targets, payload, copies);
+                    for _ in 0..copies {
+                        repeated.send_all(targets.iter().copied(), payload);
+                    }
+                    if copies > 0 {
+                        entries.extend(targets.iter().map(|&to| (to, payload, copies)));
+                    }
+                }
+            }
+            prop_assert_eq!(counted.len(), repeated.len());
+            prop_assert_eq!(counted.is_empty(), repeated.is_empty());
+            let messages: Vec<_> = counted.messages().map(|(to, m)| (to, *m)).collect();
+            prop_assert_eq!(messages.as_slice(), repeated.sends());
+            let seen: Vec<_> = counted.counted_sends().map(|(to, m, c)| (to, *m, c)).collect();
+            prop_assert_eq!(&seen, &entries);
+            let logged: Vec<_> = entries.iter().map(|&(to, m, _)| (to, m)).collect();
+            prop_assert_eq!(counted.sends(), logged.as_slice());
+        }
+        let logged: Vec<_> = entries.iter().map(|&(to, m, _)| (to, m)).collect();
+        prop_assert_eq!(counted.clone().into_sends(), logged.clone());
+        let drained: Vec<_> = counted.drain().collect();
+        prop_assert_eq!(drained, logged);
+        prop_assert_eq!(counted.len(), 0);
+        prop_assert_eq!(counted.messages().count(), 0);
+        prop_assert_eq!(counted.counted_sends().count(), 0);
     }
 }
